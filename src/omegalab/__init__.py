@@ -26,9 +26,8 @@ from .evaluator import (
 )
 from .machine import (
     BinaryProgram,
-    DEFAULT_CONFIG,
+    DEFAULT_BUDGET,
     MACHINE_VERSION,
-    MachineConfig,
     RunResult,
     config_hash,
     decode_program,

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import complexity, dovetail, incompleteness, machine, sexpr
 from .evaluator import (
@@ -25,17 +24,6 @@ from .evaluator import (
 )
 
 CENSUS_DIR_ENV = "OMEGALAB_CENSUS_DIR"
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs: subcommand, paths, budgets, stage
-    and job counts, output format, census location, fuzz seed."""
-
-    command: str
-    format: str
-    seed: int | None
-    options: argparse.Namespace
 
 
 class _DomainError(Exception):
@@ -53,9 +41,9 @@ def _census_path(path: str) -> str:
     return path
 
 
-def _emit(report: dict, config: RunConfig) -> None:
+def _emit(report: dict, fmt: str) -> None:
     report["machine"] = machine.MACHINE_VERSION
-    if config.format == "json":
+    if fmt == "json":
         print(json.dumps(report, sort_keys=True, separators=(", ", ": ")))
         return
     print(f"# machine: {machine.MACHINE_VERSION}")
@@ -89,7 +77,7 @@ def _outcome_fields(outcome) -> dict:
     return {"outcome": "malformed-program", "reason": outcome.reason}
 
 
-def _read_text(ns, flag_value: str | None, file_value: str | None, what: str) -> str:
+def _read_text(flag_value: str | None, file_value: str | None, what: str) -> str:
     if flag_value is not None:
         return flag_value
     if file_value is not None:
@@ -98,19 +86,19 @@ def _read_text(ns, flag_value: str | None, file_value: str | None, what: str) ->
     raise _DomainError("MissingInput", f"provide --{what} or --{what}-file")
 
 
-def _cmd_parse(ns, config: RunConfig) -> int:
-    text = _read_text(ns, ns.expr, ns.file, "expr")
+def _cmd_parse(ns) -> int:
+    text = _read_text(ns.expr, ns.file, "expr")
     exprs = sexpr.parse(text)
-    _emit({"expressions": [sexpr.print_canonical(e) for e in exprs]}, config)
+    _emit({"expressions": [sexpr.print_canonical(e) for e in exprs]}, ns.format)
     return 0
 
 
-def _cmd_eval(ns, config: RunConfig) -> int:
+def _cmd_eval(ns) -> int:
     text = ""
     if ns.prelude:
         with open(ns.prelude, "r", encoding="ascii") as fh:
             text = fh.read() + "\n"
-    text += _read_text(ns, ns.expr, ns.file, "expr")
+    text += _read_text(ns.expr, ns.file, "expr")
     program = sexpr.parse(text)
     tape_bits = ns.tape
     if ns.tape_file:
@@ -122,12 +110,12 @@ def _cmd_eval(ns, config: RunConfig) -> int:
     if isinstance(outcome, Halted):
         # The headline result, on its own line in text mode.
         report = {"value": report.pop("value"), **report}
-    _emit(report, config)
+    _emit(report, ns.format)
     return 0 if isinstance(outcome, Halted) else 1
 
 
-def _cmd_encode(ns, config: RunConfig) -> int:
-    text = _read_text(ns, ns.expr, ns.file, "expr")
+def _cmd_encode(ns) -> int:
+    text = _read_text(ns.expr, ns.file, "expr")
     program = machine.encode_text(text, ns.data)
     if ns.out:
         machine.save_program(ns.out, program)
@@ -138,7 +126,7 @@ def _cmd_encode(ns, config: RunConfig) -> int:
             "binary": program.bits,
             "text": sexpr.print_program(sexpr.parse(text)),
         },
-        config,
+        ns.format,
     )
     return 0
 
@@ -151,7 +139,7 @@ def _load_program_arg(ns) -> machine.BinaryProgram:
     raise _DomainError("MissingInput", "provide --program FILE or --bits 0101...")
 
 
-def _cmd_run(ns, config: RunConfig) -> int:
+def _cmd_run(ns) -> int:
     program = _load_program_arg(ns)
     result = machine.run_program(program, ns.budget)
     report = _outcome_fields(result.outcome)
@@ -159,21 +147,21 @@ def _cmd_run(ns, config: RunConfig) -> int:
     report["hex"] = program.hex
     report["binary"] = program.bits
     report["valid_halt"] = result.valid_halt
-    _emit(report, config)
+    _emit(report, ns.format)
     return 0 if result.valid_halt else 1
 
 
-def _cmd_enumerate(ns, config: RunConfig) -> int:
+def _cmd_enumerate(ns) -> int:
     programs = []
     for i, p in enumerate(dovetail.enumerate_programs(ns.max_bits)):
         if ns.limit is not None and i >= ns.limit:
             break
         programs.append(f"{p.hex} {len(p.bits)}")
-    _emit({"count": len(programs), "programs": programs}, config)
+    _emit({"count": len(programs), "programs": programs}, ns.format)
     return 0
 
 
-def _cmd_census(ns, config: RunConfig) -> int:
+def _cmd_census(ns) -> int:
     if ns.resume:
         census = dovetail.load_census(_census_path(ns.resume))
     else:
@@ -192,12 +180,12 @@ def _cmd_census(ns, config: RunConfig) -> int:
             "statuses": dict(sorted(statuses.items())),
             "omega_lower_bound": str(dovetail.omega_lower_bound(census)),
         },
-        config,
+        ns.format,
     )
     return 0
 
 
-def _cmd_omega(ns, config: RunConfig) -> int:
+def _cmd_omega(ns) -> int:
     census = dovetail.load_census(_census_path(ns.census))
     bound = dovetail.omega_lower_bound(census)
     report = {
@@ -218,7 +206,7 @@ def _cmd_omega(ns, config: RunConfig) -> int:
             "halting": len(decision.halting),
             "not_halting_relative": len(decision.not_halting_relative),
         }
-    _emit(report, config)
+    _emit(report, ns.format)
     return 0
 
 
@@ -232,7 +220,7 @@ def _estimate_fields(est: complexity.ComplexityEstimate) -> dict:
     }
 
 
-def _cmd_complexity(ns, config: RunConfig) -> int:
+def _cmd_complexity(ns) -> int:
     with open(ns.of, "r", encoding="ascii") as fh:
         x = sexpr.parse_one(fh.read())
     census = dovetail.load_census(_census_path(ns.census)) if ns.census else None
@@ -250,11 +238,11 @@ def _cmd_complexity(ns, config: RunConfig) -> int:
         est = complexity.h_upper(x, census, ns.budget)
         report = {"kind": "plain", **_estimate_fields(est)}
     report["subject"] = sexpr.print_canonical(x)
-    _emit(report, config)
+    _emit(report, ns.format)
     return 0
 
 
-def _cmd_diag(ns, config: RunConfig) -> int:
+def _cmd_diag(ns) -> int:
     table = incompleteness.diagonal_table(ns.count, ns.budget)
     rows = [
         f"{row.index} {row.program_text!r} "
@@ -267,12 +255,12 @@ def _cmd_diag(ns, config: RunConfig) -> int:
             "digits": "".join(str(d) for d in table.digits),
             "rows": rows,
         },
-        config,
+        ns.format,
     )
     return 0
 
 
-def _cmd_theory(ns, config: RunConfig) -> int:
+def _cmd_theory(ns) -> int:
     program = machine.load_program(ns.program)
     run = incompleteness.run_theory(program, ns.budget)
     report = {
@@ -290,7 +278,7 @@ def _cmd_theory(ns, config: RunConfig) -> int:
             "inconsistent_positions": list(claims.inconsistent_positions),
             "theory_bits": claims.theory_bits,
         }
-    _emit(report, config)
+    _emit(report, ns.format)
     return 0
 
 
@@ -300,9 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="halting probabilities and program-size complexity, desk scale",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized subcommands (reserved; the "
-                             "current subcommands are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse and canonically print expressions")
@@ -315,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prelude", help="file of define forms loaded first")
     p.add_argument("--tape", default="")
     p.add_argument("--tape-file", help="read the tape bits from a file")
-    p.add_argument("--budget", type=int, default=machine.DEFAULT_CONFIG.default_budget)
+    p.add_argument("--budget", type=int, default=machine.DEFAULT_BUDGET)
 
     p = sub.add_parser("encode", help="pack program text and data bits")
     p.add_argument("--expr")
@@ -326,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="decode and run a binary program")
     p.add_argument("--program", help="program file (bits: N header + hex)")
     p.add_argument("--bits", help="inline 0/1 string")
-    p.add_argument("--budget", type=int, default=machine.DEFAULT_CONFIG.default_budget)
+    p.add_argument("--budget", type=int, default=machine.DEFAULT_BUDGET)
 
     p = sub.add_parser("enumerate", help="stream decodable programs by size")
     p.add_argument("--max-bits", type=int, required=True)
@@ -395,9 +380,8 @@ _DOMAIN_EXCEPTIONS = (
 
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
-    config = RunConfig(ns.command, ns.format, ns.seed, ns)
     try:
-        return _COMMANDS[ns.command](ns, config)
+        return _COMMANDS[ns.command](ns)
     except BrokenPipeError:
         # downstream closed the pipe (e.g. | head); not a domain error
         try:

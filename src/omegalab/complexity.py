@@ -13,15 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sexpr
-from .dovetail import Census, MIN_PROGRAM_BITS, STATUS_HALTED_VALID, parseable_texts_upto
-from .evaluator import Halted
-from .machine import (
-    BinaryProgram,
-    DEFAULT_CONFIG,
-    MachineConfig,
-    encode_program,
-    run_program,
-)
+from .dovetail import Census, STATUS_HALTED_VALID, parseable_texts_upto
+from .evaluator import Halted, program_head
+from .machine import BinaryProgram, encode_program, run_program
 from .sexpr import QUOTE_ATOM, SExpr
 
 # Wrapper whose two nested runs consume two self-delimiting programs laid
@@ -33,6 +27,8 @@ RELAY_WRAPPER_TEXT = "(run-remaining)"
 DUP_WRAPPER_TEXT = "((lambda (v) (join v (join v ()))) (run-remaining))"
 
 DEFAULT_SEARCH_BUDGET = 1 << 16
+# Longest prefix text h_relative_upper tries in front of the given witness.
+RELATIVE_PREFIX_CHARS = 2
 
 
 class NotABitString(ValueError):
@@ -54,15 +50,9 @@ class ComplexityEstimate:
     budget_used: int
 
 
-def literal_witness(x: SExpr, config: MachineConfig = DEFAULT_CONFIG) -> BinaryProgram:
+def literal_witness(x: SExpr) -> BinaryProgram:
     """The always-available bound: quote the value, no data bits."""
-    return encode_program(((QUOTE_ATOM, x),), "", config)
-
-
-def _searched_bits(census: Census | None) -> int:
-    if census is None or census.stage == 0:
-        return 0
-    return min(MIN_PROGRAM_BITS + census.stage, census.max_bits)
+    return encode_program(((QUOTE_ATOM, x),))
 
 
 def _census_winner(census: Census | None, value_text: str) -> str | None:
@@ -79,10 +69,8 @@ def _census_winner(census: Census | None, value_text: str) -> str | None:
     return best
 
 
-def _verify_witness(
-    witness: BinaryProgram, value_text: str, budget: int, config: MachineConfig
-) -> None:
-    result = run_program(witness, budget, config)
+def _verify_witness(witness: BinaryProgram, value_text: str, budget: int) -> None:
+    result = run_program(witness, budget)
     if not result.valid_halt:
         raise InvalidWitness(f"witness does not halt validly: {witness.hex}")
     assert isinstance(result.outcome, Halted)
@@ -91,9 +79,9 @@ def _verify_witness(
 
 
 def _halts_validly_with(
-    candidate: BinaryProgram, value_text: str, budget: int, config: MachineConfig
+    candidate: BinaryProgram, value_text: str, budget: int
 ) -> bool:
-    result = run_program(candidate, budget, config)
+    result = run_program(candidate, budget)
     return (
         result.valid_halt
         and sexpr.print_canonical(result.outcome.value) == value_text
@@ -104,36 +92,33 @@ def _estimate(
     subject: SExpr,
     census: Census | None,
     budget: int,
-    config: MachineConfig,
     constructed: tuple[BinaryProgram, ...] = (),
 ) -> ComplexityEstimate:
     """Smallest known witness: the census search, the always-available
     literal, and any explicitly constructed candidates (which are only
     admitted after a verifying run)."""
     value_text = sexpr.print_canonical(subject)
-    witness = literal_witness(subject, config)
+    witness = literal_witness(subject)
     found = _census_winner(census, value_text)
     if found is not None and len(found) < len(witness.bits):
         witness = BinaryProgram(found)
     for candidate in constructed:
         if len(candidate.bits) < len(witness.bits) and _halts_validly_with(
-            candidate, value_text, budget, config
+            candidate, value_text, budget
         ):
             witness = candidate
-    _verify_witness(witness, value_text, budget, config)
-    return ComplexityEstimate(
-        subject, len(witness.bits), witness, _searched_bits(census), budget
-    )
+    _verify_witness(witness, value_text, budget)
+    searched = census.enrolled_bits if census is not None else 0
+    return ComplexityEstimate(subject, len(witness.bits), witness, searched, budget)
 
 
 def h_upper(
     x: SExpr,
     census: Census | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    config: MachineConfig = DEFAULT_CONFIG,
 ) -> ComplexityEstimate:
     """Upper bound on the information content of x."""
-    return _estimate(x, census, budget, config)
+    return _estimate(x, census, budget)
 
 
 def h_joint_upper(
@@ -141,7 +126,6 @@ def h_joint_upper(
     y: SExpr,
     census: Census | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    config: MachineConfig = DEFAULT_CONFIG,
 ) -> ComplexityEstimate:
     """Upper bound on computing the pair (x y) in one program.
 
@@ -150,16 +134,16 @@ def h_joint_upper(
     is never forced to cost more than a constant over computing them
     separately), and for x == y so is the duplicating wrapper.
     """
-    wx = h_upper(x, census, budget, config).witness
-    wy = h_upper(y, census, budget, config).witness
+    wx = h_upper(x, census, budget).witness
+    wy = h_upper(y, census, budget).witness
     constructed = [
-        encode_program(sexpr.parse(PAIR_WRAPPER_TEXT), wx.bits + wy.bits, config)
+        encode_program(sexpr.parse(PAIR_WRAPPER_TEXT), wx.bits + wy.bits)
     ]
     if x == y:
         constructed.append(
-            encode_program(sexpr.parse(DUP_WRAPPER_TEXT), wx.bits, config)
+            encode_program(sexpr.parse(DUP_WRAPPER_TEXT), wx.bits)
         )
-    return _estimate((x, y), census, budget, config, tuple(constructed))
+    return _estimate((x, y), census, budget, tuple(constructed))
 
 
 def mutual_info_estimate(
@@ -167,30 +151,28 @@ def mutual_info_estimate(
     y: SExpr,
     census: Census | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    config: MachineConfig = DEFAULT_CONFIG,
 ) -> int:
     """Signed bit count: bound(x) + bound(y) - bound(x, y).
 
     This identity over the three reported bounds holds by construction; it
     says how much the search gained by computing the objects together.
     """
-    hx = h_upper(x, census, budget, config).bound_bits
-    hy = h_upper(y, census, budget, config).bound_bits
-    hxy = h_joint_upper(x, y, census, budget, config).bound_bits
+    hx = h_upper(x, census, budget).bound_bits
+    hy = h_upper(y, census, budget).bound_bits
+    hxy = h_joint_upper(x, y, census, budget).bound_bits
     return hx + hy - hxy
 
 
-def pair_overhead_bits(config: MachineConfig = DEFAULT_CONFIG) -> int:
+def pair_overhead_bits() -> int:
     """Exact encoded size of the pairing wrapper, a constant of this
     machine's encoding."""
-    return config.bits_per_char * len(PAIR_WRAPPER_TEXT) + config.bits_per_char
+    return len(program_head(PAIR_WRAPPER_TEXT))
 
 
 def pair_programs(
     p: BinaryProgram,
     q: BinaryProgram,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    config: MachineConfig = DEFAULT_CONFIG,
 ) -> BinaryProgram:
     """One program that halts validly with the pair of p's and q's values.
 
@@ -198,10 +180,10 @@ def pair_programs(
     size is always pair_overhead_bits() + |p| + |q|.
     """
     for witness in (p, q):
-        if not run_program(witness, budget, config).valid_halt:
+        if not run_program(witness, budget).valid_halt:
             raise InvalidWitness(f"not a validly halting program: {witness.hex}")
     wrapper = sexpr.parse(PAIR_WRAPPER_TEXT)
-    return encode_program(wrapper, p.bits + q.bits, config)
+    return encode_program(wrapper, p.bits + q.bits)
 
 
 def h_relative_upper(
@@ -209,8 +191,6 @@ def h_relative_upper(
     wy: BinaryProgram,
     census: Census | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    config: MachineConfig = DEFAULT_CONFIG,
-    prefix_search_chars: int = 2,
 ) -> ComplexityEstimate:
     """Upper bound on computing x given a witness program for y.
 
@@ -219,9 +199,9 @@ def h_relative_upper(
     wrapper realizes "same value" at fixed overhead), and programs that
     ignore the witness entirely (so the bound never exceeds the plain
     upper bound for x by more than the search can miss).  Searched prefixes
-    are capped at prefix_search_chars characters at desk scale.
+    are capped at RELATIVE_PREFIX_CHARS characters at desk scale.
     """
-    wy_run = run_program(wy, budget, config)
+    wy_run = run_program(wy, budget)
     if not wy_run.valid_halt:
         raise InvalidWitness(f"not a validly halting program: {wy.hex}")
     value_text = sexpr.print_canonical(x)
@@ -232,13 +212,13 @@ def h_relative_upper(
         nonlocal best
         if best is not None and len(candidate.bits) >= len(best.bits):
             return
-        if verified or _halts_validly_with(candidate, value_text, budget, config):
+        if verified or _halts_validly_with(candidate, value_text, budget):
             best = candidate
 
     # Family 1: witness-consuming programs, smallest prefixes first.
-    consider(encode_program(sexpr.parse(RELAY_WRAPPER_TEXT), wy.bits, config))
+    consider(encode_program(sexpr.parse(RELAY_WRAPPER_TEXT), wy.bits))
     seen_texts = set()
-    for text in parseable_texts_upto(prefix_search_chars):
+    for text in parseable_texts_upto(RELATIVE_PREFIX_CHARS):
         exprs = sexpr.parse_program_cached(text)
         if not exprs:
             continue
@@ -246,20 +226,19 @@ def h_relative_upper(
         if canonical in seen_texts:
             continue
         seen_texts.add(canonical)
-        consider(encode_program(exprs, wy.bits, config))
+        consider(encode_program(exprs, wy.bits))
 
     # Family 2: ignore the witness.  The given program itself counts when
     # its value already is x.
     if sexpr.print_canonical(wy_run.outcome.value) == value_text:
         consider(wy, verified=True)
-    unconditional = _estimate(x, census, budget, config)
+    unconditional = _estimate(x, census, budget)
     if best is None or len(unconditional.witness.bits) < len(best.bits):
         best = unconditional.witness
 
-    _verify_witness(best, value_text, budget, config)
-    return ComplexityEstimate(
-        x, len(best.bits), best, _searched_bits(census), budget
-    )
+    _verify_witness(best, value_text, budget)
+    searched = census.enrolled_bits if census is not None else 0
+    return ComplexityEstimate(x, len(best.bits), best, searched, budget)
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,7 +264,6 @@ def randomness_report(
     x: SExpr,
     census: Census | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    config: MachineConfig = DEFAULT_CONFIG,
 ) -> RandomnessReport:
     """Report how far search compressed a list of 0/1 atoms.
 
@@ -298,8 +276,8 @@ def randomness_report(
     if type(x) is not tuple or any(a not in ("0", "1") for a in x):
         raise NotABitString(f"not a list of 0/1 atoms: {x!r}")
     n = len(x)
-    estimate = _estimate(x, census, budget, config)
-    literal_bits = len(literal_witness(x, config).bits)
+    estimate = _estimate(x, census, budget)
+    literal_bits = len(literal_witness(x).bits)
     overhead = literal_bits - n
     deficiency = n - (estimate.bound_bits - overhead)
     compressible = estimate.bound_bits < literal_bits

@@ -25,18 +25,23 @@ from typing import Iterator
 
 from . import sexpr
 from .dyadic import DyadicRational
-from .evaluator import AbortOverrun, Halted, MalformedProgram
+from .evaluator import (
+    AbortOverrun,
+    Halted,
+    MalformedProgram,
+    max_text_chars,
+    program_head,
+)
 from .machine import (
+    MACHINE_VERSION,
     BinaryProgram,
-    DEFAULT_CONFIG,
-    MachineConfig,
     bits_to_hex,
     config_hash,
     hex_to_bits,
     run_program,
 )
 
-MIN_PROGRAM_BITS = 16  # one text character plus the separator byte
+MIN_PROGRAM_BITS = len(program_head("a"))  # one character and the separator
 
 STATUS_HALTED_VALID = "halted-valid"
 STATUS_HALTED_INVALID = "halted-invalid"
@@ -96,10 +101,10 @@ class Census:
         return min(MIN_PROGRAM_BITS + self.stage, self.max_bits) if self.stage else 0
 
 
-def new_census(max_bits: int, config: MachineConfig = DEFAULT_CONFIG) -> Census:
+def new_census(max_bits: int) -> Census:
     if max_bits < MIN_PROGRAM_BITS:
         raise ValueError(f"max_bits must be >= {MIN_PROGRAM_BITS}")
-    return Census(config.version, config_hash(config), max_bits)
+    return Census(MACHINE_VERSION, config_hash(), max_bits)
 
 
 # --- enumeration ----------------------------------------------------------
@@ -131,9 +136,7 @@ def parseable_texts_upto(max_chars: int) -> tuple[str, ...]:
 
 
 def enumerate_programs(
-    max_bits: int,
-    min_bits: int = MIN_PROGRAM_BITS,
-    config: MachineConfig = DEFAULT_CONFIG,
+    max_bits: int, min_bits: int = MIN_PROGRAM_BITS
 ) -> Iterator[BinaryProgram]:
     """Every decodable program of min_bits..max_bits bits, exactly once,
     shorter first and lexicographic within a length.
@@ -142,14 +145,12 @@ def enumerate_programs(
     bits, so the stream is generated from the cached parseable-text pool
     rather than by trying every bit string.
     """
-    sep = f"{config.separator_byte:08b}"
     for length in range(max(min_bits, MIN_PROGRAM_BITS), max_bits + 1):
-        max_chars = (length - 8) // 8
-        for text in parseable_texts_upto(max_chars):
-            data_len = length - 8 * len(text) - 8
+        for text in parseable_texts_upto(max_text_chars(length)):
+            head = program_head(text)
+            data_len = length - len(head)
             if data_len < 0:
                 continue
-            head = "".join(f"{ord(c):08b}" for c in text) + sep
             if data_len == 0:
                 yield BinaryProgram(head)
             else:
@@ -176,11 +177,11 @@ def _run_pending(args: tuple[str, int]) -> tuple[str, int, str | None]:
     return STATUS_UNKNOWN, budget, None
 
 
-def _check_version(census: Census, config: MachineConfig) -> None:
-    if census.version != config.version or census.config_digest != config_hash(config):
+def _check_version(version: str, digest: str, source: str = "census") -> None:
+    if version != MACHINE_VERSION or digest != config_hash():
         raise VersionMismatch(
-            f"census built by {census.version}/{census.config_digest}, "
-            f"machine is {config.version}/{config_hash(config)}"
+            f"{source} built by {version}/{digest}, "
+            f"machine is {MACHINE_VERSION}/{config_hash()}"
         )
 
 
@@ -188,7 +189,6 @@ def advance(
     census: Census,
     stages: int,
     jobs: int = 1,
-    config: MachineConfig = DEFAULT_CONFIG,
 ) -> Census:
     """Run the next ``stages`` dovetail stages, updating the census in place.
 
@@ -196,14 +196,14 @@ def advance(
     byte-identical either way because records are applied in enumeration
     order and statuses, once decided, are final.
     """
-    _check_version(census, config)
+    _check_version(census.version, census.config_digest)
     for _ in range(stages):
         t = census.stage + 1
         size_cap = min(MIN_PROGRAM_BITS + t, census.max_bits)
         budget = 2**t
         prev_cap = census.enrolled_bits
         if size_cap > prev_cap:
-            for program in enumerate_programs(size_cap, prev_cap + 1, config):
+            for program in enumerate_programs(size_cap, prev_cap + 1):
                 census.records[program.bits] = Record(program.bits)
         pending = [r for r in census.records.values() if not r.decided]
         if pending:
@@ -253,7 +253,6 @@ def decide_halting_via_omega(
     census: Census,
     stage_cap: int = 64,
     jobs: int = 1,
-    config: MachineConfig = DEFAULT_CONFIG,
 ) -> HaltingDecision:
     """Dovetail until the census bound reaches omega_prefix, then classify
     every program of at most n_bits bits.
@@ -266,18 +265,18 @@ def decide_halting_via_omega(
     probability, and every program already halted is always labeled
     correctly.
     """
-    _check_version(census, config)
+    _check_version(census.version, census.config_digest)
     if n_bits > census.max_bits:
         raise ValueError("n_bits exceeds the census corpus bound")
     bound = omega_lower_bound(census)
     while bound < omega_prefix:
         if census.stage >= stage_cap:
             raise StageCapExceeded(stage_cap)
-        advance(census, 1, jobs, config)
+        advance(census, 1, jobs)
         bound = omega_lower_bound(census)
     halting = []
     rest = []
-    for program in enumerate_programs(n_bits, config=config):
+    for program in enumerate_programs(n_bits):
         record = census.records.get(program.bits)
         if record is not None and record.status == STATUS_HALTED_VALID:
             halting.append(program.bits)
@@ -318,7 +317,7 @@ _STATUSES = {
 }
 
 
-def load_census(path, config: MachineConfig = DEFAULT_CONFIG) -> Census:
+def load_census(path) -> Census:
     """Read a census file; rejects other machine versions and truncated or
     mangled files."""
     with open(path, "r", encoding="ascii") as fh:
@@ -334,11 +333,7 @@ def load_census(path, config: MachineConfig = DEFAULT_CONFIG) -> Census:
         count = int(header["records"])
     except (KeyError, ValueError, IndexError) as exc:
         raise CorruptFile(f"{path}: bad header: {exc}") from None
-    if version != config.version or digest != config_hash(config):
-        raise VersionMismatch(
-            f"{path}: census built by {version}/{digest}, "
-            f"machine is {config.version}/{config_hash(config)}"
-        )
+    _check_version(version, digest, f"{path}: census")
     body = lines[6:]
     if len(body) != count:
         raise CorruptFile(f"{path}: expected {count} records, found {len(body)}")

@@ -19,6 +19,11 @@ lookup, so bindings never shadow them.
 The machine runs on an explicit work stack, so deep recursion in evaluated
 programs cannot overflow the host stack; configured step caps are the only
 depth limit.
+
+This module also owns the fixed binary program format, because
+``(run-remaining)`` reads embedded programs from the tape: 8 bits per
+character of program text, the separator byte 0x00, then raw data bits.
+``program_head`` writes the text part and ``scan_program`` reads it back.
 """
 
 from __future__ import annotations
@@ -88,6 +93,52 @@ BAD_CHAR = "BadChar"
 PARSE_FAIL = "ParseFail"
 NON_DEFINE_FORM = "NonDefineForm"
 EMPTY_PROGRAM = "EmptyProgram"
+
+_MALFORMED_NO_SEPARATOR = MalformedProgram(NO_SEPARATOR)
+_MALFORMED_BAD_CHAR = MalformedProgram(BAD_CHAR)
+_MALFORMED_PARSE_FAIL = MalformedProgram(PARSE_FAIL)
+# Character of every nonzero byte, keyed by its 8 bits; 0x00 is the separator.
+_BYTE_CHARS = {f"{b:08b}": chr(b) for b in range(1, 256)}
+
+
+def program_head(text: str) -> str:
+    """The bits of a program text in the binary format: 8 bits per
+    character, then the separator byte."""
+    return "".join(f"{ord(c):08b}" for c in text) + "00000000"
+
+
+def max_text_chars(n_bits: int) -> int:
+    """Length of the longest program text whose head fits in n_bits."""
+    return n_bits // 8 - 1
+
+
+def scan_program(
+    bits: str, cursor: int
+) -> Union[tuple[tuple[SExpr, ...], str, int], MalformedProgram]:
+    """Read 8-bit characters from cursor up to the separator byte and parse
+    them.
+
+    Returns (expressions, text, cursor after the separator), or the
+    MalformedProgram for the first failure in this order: no byte-aligned
+    separator, a byte outside the text alphabet, a text that does not parse
+    to at least one expression.
+    """
+    chars: list[str] = []
+    while True:
+        ch = _BYTE_CHARS.get(bits[cursor : cursor + 8])
+        if ch is None:
+            if bits[cursor : cursor + 8] != "00000000":
+                return _MALFORMED_NO_SEPARATOR
+            break
+        chars.append(ch)
+        cursor += 8
+    text = "".join(chars)
+    if not TEXT_CHARS.issuperset(text):
+        return _MALFORMED_BAD_CHAR
+    exprs = parse_program_cached(text)
+    if exprs is None:
+        return _MALFORMED_PARSE_FAIL
+    return exprs, text, cursor + 8
 
 
 class CapExceeded(Exception):
@@ -207,31 +258,6 @@ def _push_sequence(work: list, exprs: tuple, env: Env) -> None:
         work.append((_EV, exprs[i], env))
 
 
-def _scan_embedded(bits: str, cursor: int):
-    """Read 8-bit characters up to the separator byte and parse them.
-
-    Returns (exprs, new_cursor), or None on any failure: running off the
-    tape, a byte outside the text alphabet, or an unparseable/empty prefix.
-    """
-    n = len(bits)
-    chars: list[str] = []
-    while True:
-        if cursor + 8 > n:
-            return None
-        byte = int(bits[cursor : cursor + 8], 2)
-        cursor += 8
-        if byte == 0:
-            break
-        ch = chr(byte)
-        if ch not in TEXT_CHARS:
-            return None
-        chars.append(ch)
-    exprs = parse_program_cached("".join(chars))
-    if exprs is None:
-        return None
-    return exprs, cursor
-
-
 def _global_env(env: Env) -> Env:
     while env.parent is not None:
         env = env.parent
@@ -330,10 +356,10 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
                     cursor += 1
                     continue
                 if head == "run-remaining":
-                    scanned = _scan_embedded(bits, cursor)
-                    if scanned is None:
+                    scanned = scan_program(bits, cursor)
+                    if type(scanned) is MalformedProgram:
                         return AbortOverrun(steps, tuple(emitted))
-                    inner, cursor = scanned
+                    inner, _, cursor = scanned
                     ok = True
                     for f in inner[:-1]:
                         if not is_define_form(f):

@@ -20,13 +20,7 @@ from typing import Iterator
 
 from . import sexpr
 from .evaluator import AbortOverrun, Halted, MalformedProgram, OutOfTime
-from .machine import (
-    BinaryProgram,
-    DEFAULT_CONFIG,
-    MachineConfig,
-    encode_program,
-    run_program,
-)
+from .machine import BinaryProgram, encode_program, run_program
 from .dovetail import parseable_texts_of_length
 from .sexpr import QUOTE_ATOM, SExpr
 
@@ -57,16 +51,15 @@ def unary(m: int) -> tuple:
     return ("1",) * m
 
 
-def digit_output_of(expr: SExpr, m: int, budget: int,
-                    config: MachineConfig = DEFAULT_CONFIG) -> int | None:
+def digit_output_of(expr: SExpr, m: int, budget: int) -> int | None:
     """Digit produced by applying one program to position m (in unary).
 
     The digit is the head of the halted value when that head is a single
     0-9 atom; anything else -- no halt in budget, an invalid halt, or a
     non-digit value -- is no output.
     """
-    program = encode_program(((expr, (QUOTE_ATOM, unary(m))),), "", config)
-    result = run_program(program, budget, config)
+    program = encode_program(((expr, (QUOTE_ATOM, unary(m))),))
+    result = run_program(program, budget)
     if not result.valid_halt:
         return None
     assert isinstance(result.outcome, Halted)
@@ -77,10 +70,9 @@ def digit_output_of(expr: SExpr, m: int, budget: int,
     return None
 
 
-def digit_program_output(n: int, m: int, budget: int,
-                         config: MachineConfig = DEFAULT_CONFIG) -> int | None:
+def digit_program_output(n: int, m: int, budget: int) -> int | None:
     """Digit at position m from the n-th enumerated digit program."""
-    return digit_output_of(_nth_digit_program(n), m, budget, config)
+    return digit_output_of(_nth_digit_program(n), m, budget)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,8 +93,7 @@ class DiagonalTable:
         return tuple(row.diagonal_digit for row in self.rows)
 
 
-def diagonal_table(n_rows: int, budget: int,
-                   config: MachineConfig = DEFAULT_CONFIG) -> DiagonalTable:
+def diagonal_table(n_rows: int, budget: int) -> DiagonalTable:
     """Diagonal digits over the first n_rows digit programs.
 
     Row n is 2 when program n produces digit 3 at position n, else 3 --
@@ -115,7 +106,7 @@ def diagonal_table(n_rows: int, budget: int,
     gen = digit_programs()
     for n in range(1, n_rows + 1):
         expr = next(gen)
-        produced = digit_output_of(expr, n, budget, config)
+        produced = digit_output_of(expr, n, budget)
         rows.append(
             DiagonalRow(
                 n,
@@ -127,9 +118,8 @@ def diagonal_table(n_rows: int, budget: int,
     return DiagonalTable(budget, tuple(rows))
 
 
-def diagonal_digits(n_rows: int, budget: int,
-                    config: MachineConfig = DEFAULT_CONFIG) -> tuple[int, ...]:
-    return diagonal_table(n_rows, budget, config).digits
+def diagonal_digits(n_rows: int, budget: int) -> tuple[int, ...]:
+    return diagonal_table(n_rows, budget).digits
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,15 +138,14 @@ class TheoryRun:
         return self.terminal == "out-of-time"
 
 
-def run_theory(theory: BinaryProgram, budget: int,
-               config: MachineConfig = DEFAULT_CONFIG) -> TheoryRun:
+def run_theory(theory: BinaryProgram, budget: int) -> TheoryRun:
     """Collect the statements a generator program emits within a budget.
 
     Running out of time is the normal terminal state for a real generator;
     a theory that stops is flagged by its halting/abort terminal instead.
     Statements are de-duplicated in order of first emission.
     """
-    result = run_program(theory, budget, config)
+    result = run_program(theory, budget)
     out = result.outcome
     if isinstance(out, OutOfTime):
         emitted, consumed, terminal = out.emitted, budget, "out-of-time"

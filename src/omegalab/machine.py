@@ -1,7 +1,9 @@
-"""The self-delimiting binary machine: program format and budgeted runs.
+"""The self-delimiting binary machine: encoding, decoding and budgeted runs.
 
 A binary program is the 8-bit ASCII encoding of a program text, a
-separator byte 0x00, and zero or more raw data bits.  The text is run by
+separator byte 0x00, and zero or more raw data bits.  The format is fixed
+and lives in the evaluator module (``program_head``, ``scan_program``),
+whose ``(run-remaining)`` primitive reads it too.  The text is run by
 the evaluator and reads the data one bit at a time; there is no end-of-data
 marker, so a run only counts as a valid halt when it consumed exactly the
 data it was given.  Halting with bits left over is reported, but it is not
@@ -17,37 +19,25 @@ from typing import Iterable, Sequence, Union
 
 from . import sexpr
 from .evaluator import (
-    BAD_CHAR,
     BitTape,
     Halted,
     MalformedProgram,
-    NO_SEPARATOR,
     Outcome,
-    PARSE_FAIL,
     evaluate,
+    program_head,
+    scan_program,
 )
-from .sexpr import SExpr, TEXT_CHARS
+from .sexpr import SExpr
 
 MACHINE_VERSION = "omegalab-machine-1"
+DEFAULT_BUDGET = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class MachineConfig:
-    separator_byte: int = 0x00
-    bits_per_char: int = 8
-    default_budget: int = 4096
-    version: str = MACHINE_VERSION
-
-
-DEFAULT_CONFIG = MachineConfig()
-
-
-def config_hash(config: MachineConfig = DEFAULT_CONFIG) -> str:
-    """Short stable digest of the machine's semantic knobs."""
-    text = (
-        f"sep={config.separator_byte};bpc={config.bits_per_char};"
-        f"version={config.version}"
-    )
+def config_hash() -> str:
+    """Short stable digest of the fixed program format and the machine
+    version.  Census files record it; the hashed text is frozen so that
+    every census file of this machine version keeps loading."""
+    text = f"sep=0;bpc=8;version={MACHINE_VERSION}"
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -100,9 +90,7 @@ class DecodedProgram:
     text: str
 
 
-def encode_program(
-    prefix: Sequence[SExpr], data: str = "", config: MachineConfig = DEFAULT_CONFIG
-) -> BinaryProgram:
+def encode_program(prefix: Sequence[SExpr], data: str = "") -> BinaryProgram:
     """Pack a program: 8 bits per canonical-text character, separator byte,
     then the raw data bits."""
     prefix = tuple(prefix)
@@ -110,25 +98,16 @@ def encode_program(
         raise ValueError("prefix must contain at least one expression")
     if data.strip("01"):
         raise ValueError("data must be a string over 0/1")
-    text = sexpr.print_program(prefix)
-    chars = "".join(f"{ord(c):08b}" for c in text)
-    return BinaryProgram(chars + f"{config.separator_byte:08b}" + data)
+    return BinaryProgram(program_head(sexpr.print_program(prefix)) + data)
 
 
-def encode_text(
-    text: str, data: str = "", config: MachineConfig = DEFAULT_CONFIG
-) -> BinaryProgram:
+def encode_text(text: str, data: str = "") -> BinaryProgram:
     """Parse program text and encode it (in canonical form)."""
-    return encode_program(sexpr.parse(text), data, config)
-
-
-_MALFORMED_NO_SEPARATOR = MalformedProgram(NO_SEPARATOR)
-_MALFORMED_BAD_CHAR = MalformedProgram(BAD_CHAR)
-_MALFORMED_PARSE_FAIL = MalformedProgram(PARSE_FAIL)
+    return encode_program(sexpr.parse(text), data)
 
 
 def decode_program(
-    program: Union[BinaryProgram, str], config: MachineConfig = DEFAULT_CONFIG
+    program: Union[BinaryProgram, str],
 ) -> Union[DecodedProgram, MalformedProgram]:
     """Split a bit string into (prefix expressions, data bits).
 
@@ -138,29 +117,11 @@ def decode_program(
     one expression.
     """
     bits = program.bits if type(program) is BinaryProgram else program
-    n = len(bits)
-    sep = config.separator_byte
-    i = 0
-    prefix_bytes: list[int] = []
-    while True:
-        if i + 8 > n:
-            return _MALFORMED_NO_SEPARATOR
-        byte = int(bits[i : i + 8], 2)
-        i += 8
-        if byte == sep:
-            break
-        prefix_bytes.append(byte)
-    chars: list[str] = []
-    for byte in prefix_bytes:
-        ch = chr(byte)
-        if ch not in TEXT_CHARS:
-            return _MALFORMED_BAD_CHAR
-        chars.append(ch)
-    text = "".join(chars)
-    exprs = sexpr.parse_program_cached(text)
-    if exprs is None:
-        return _MALFORMED_PARSE_FAIL
-    return DecodedProgram(exprs, bits[i:], text)
+    scanned = scan_program(bits, 0)
+    if type(scanned) is MalformedProgram:
+        return scanned
+    exprs, text, end = scanned
+    return DecodedProgram(exprs, bits[end:], text)
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,15 +144,9 @@ class RunResult:
         )
 
 
-def run_program(
-    program: BinaryProgram,
-    budget: int | None = None,
-    config: MachineConfig = DEFAULT_CONFIG,
-) -> RunResult:
+def run_program(program: BinaryProgram, budget: int = DEFAULT_BUDGET) -> RunResult:
     """Decode and run one binary program under a step budget."""
-    if budget is None:
-        budget = config.default_budget
-    decoded = decode_program(program, config)
+    decoded = decode_program(program)
     if isinstance(decoded, MalformedProgram):
         return RunResult(decoded, 0)
     outcome = evaluate(decoded.prefix, BitTape(decoded.data), budget)

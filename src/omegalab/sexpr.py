@@ -190,9 +190,8 @@ def print_program(exprs: Iterable[SExpr]) -> str:
 
 
 # Parse results for program texts, shared by the machine decoder and the
-# evaluator's nested-run primitive.  Holds only texts that actually parse to
-# at least one expression; misses are re-tried (and negatives cached) so the
-# enumerator's bulk probing does not pin rejected texts in memory.
+# evaluator's nested-run primitive.  Every text looked up is cached, the
+# rejected ones (None) included, and nothing is ever evicted.
 _PARSE_CACHE: dict[str, Optional[tuple[SExpr, ...]]] = {}
 
 

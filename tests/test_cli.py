@@ -247,9 +247,10 @@ def test_every_run_prints_machine_tag(capsys):
 
 
 def test_usage_error_exits_two(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["parse", "--no-such-flag"])
-    assert err.value.code == 2
+    for argv in (["parse", "--no-such-flag"], ["--seed", "1", "parse", "--expr", "a"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_missing_input_is_domain_error(capsys):

@@ -1,5 +1,6 @@
 """Enumeration, the dovetail schedule, and the halting census."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -221,9 +222,25 @@ def test_decide_rejects_oversized_window():
         decide_halting_via_omega(DyadicRational.zero(), 24, new_census(20))
 
 
+# SHA-256 of the census files of (max bits, stages): the on-disk contract.
+GOLDEN_CENSUS_SHA256 = {
+    (20, 6): "181141b9d78a1d51ec233b50f1b7fb31eafeaeafef95f4b5f4db40b1f3ddb331",
+    (24, 10): "338453c2b368f9814669f8c9ac709a372d68a5b825c72f55920282f19152656d",
+}
+
+
+def test_census_file_bytes_are_pinned(tmp_path):
+    census = advance(new_census(20), 6)
+    path = tmp_path / "small.census"
+    save_census(census, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CENSUS_SHA256[20, 6]
+    assert omega_lower_bound(census) == DyadicRational(Fraction(91, 2**16))
+
+
 def test_save_load_round_trip(tmp_path, desk_census):
     path = tmp_path / "desk.census"
     save_census(desk_census, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CENSUS_SHA256[24, 10]
     loaded = load_census(path)
     assert loaded == desk_census
     # byte-identical re-save
