@@ -18,7 +18,8 @@ lookup, so bindings never shadow them.
 
 The machine runs on an explicit work stack, so deep recursion in evaluated
 programs cannot overflow the host stack; configured step caps are the only
-depth limit.
+depth limit.  ``=`` falls back to an iterative comparison for values nested
+too deeply for Python's own.
 
 This module also owns the fixed binary program format, because
 ``(run-remaining)`` reads embedded programs from the tape: 8 bits per
@@ -160,12 +161,30 @@ class Env:
 
 
 class Closure:
+    """A lambda value: its source parameters and body plus the defining
+    environment.
+
+    A closure equals whatever equals its source ``("lambda", params,
+    body)``: another closure with the same parameters and body, whatever
+    its environment, or that plain expression, also inside a list, where
+    tuple comparison falls back to this ``__eq__``.  So ``=`` compares
+    values as their rendered forms without rendering them.
+    """
+
     __slots__ = ("params", "body", "env")
 
     def __init__(self, params: tuple, body: SExpr, env: Env):
         self.params = params
         self.body = body
         self.env = env
+
+    def __eq__(self, other) -> bool:
+        if type(other) is Closure:
+            return self.params == other.params and self.body == other.body
+        return ("lambda", self.params, self.body) == other
+
+    def __hash__(self) -> int:
+        return hash(("lambda", self.params, self.body))
 
 
 Value = Union[str, tuple, Closure]
@@ -177,7 +196,12 @@ def is_define_form(expr: SExpr) -> bool:
 
 def render_value(value: Value) -> SExpr:
     """Map a runtime value to a plain expression; closures read back as
-    their (lambda (params) body) source."""
+    their (lambda (params) body) source.
+
+    Rendering keeps equality: ``render_value(a) == render_value(b)``
+    exactly when ``a == b`` (see ``Closure``).  A list is walked in full,
+    so the evaluator renders a list only when a closure may sit in one.
+    """
     if type(value) is str:
         return value
     if type(value) is Closure:
@@ -229,6 +253,27 @@ def _rebuild(root: tuple) -> tuple:
             else:
                 result = built
     return result
+
+
+def _deep_equal(a: Value, b: Value) -> bool:
+    """``a == b`` without host recursion, for values too deeply nested for
+    tuple comparison; closures compare as their source."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is Closure:
+            x = ("lambda", x.params, x.body)
+        if type(y) is Closure:
+            y = ("lambda", y.params, y.body)
+        if type(x) is tuple and type(y) is tuple:
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif x != y:
+            return False
+    return True
 
 
 # Work-stack opcodes.
@@ -284,7 +329,9 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
     nbits = len(bits)
     steps = 0
     emitted: list = []
-    made_closure = False
+    # Set once a closure is joined into a list, the only way one gets
+    # there; until then no list needs rendering.
+    listed_closure = False
     genv = Env({}, None)
     vals: list = []
     work: list = []
@@ -376,7 +423,6 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
                         if type(spec) is tuple
                         else ()
                     )
-                    made_closure = True
                     vals.append(Closure(params, _arg(expr, 2), env))
                     continue
                 if head == "define":
@@ -389,7 +435,6 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
                     ):
                         name = expr[1][0]
                         params = tuple(p for p in expr[1][1:] if type(p) is str)
-                        made_closure = True
                         root.bindings[name] = Closure(params, _arg(expr, 2), root)
                         vals.append(name)
                     elif len(expr) > 2 and type(expr[1]) is str:
@@ -431,10 +476,11 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
         elif op == _EQ:
             b = vals.pop()
             a = vals.pop()
-            if made_closure:
-                a = render_value(a)
-                b = render_value(b)
-            vals.append("true" if a == b else "false")
+            try:
+                same = a == b
+            except RecursionError:
+                same = _deep_equal(a, b)
+            vals.append("true" if same else "false")
         elif op == _HEAD:
             v = vals.pop()
             if type(v) is tuple:
@@ -450,13 +496,17 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
         elif op == _JOIN:
             y = vals.pop()
             x = vals.pop()
+            if type(x) is Closure:
+                listed_closure = True
             vals.append((x,) + y if type(y) is tuple else (x,))
         elif op == _ATOMQ:
             v = vals.pop()
             vals.append("true" if type(v) is str else "false")
         elif op == _DISPLAY:
             v = vals[-1]
-            emitted.append(render_value(v) if made_closure else v)
+            if listed_closure or type(v) is Closure:
+                v = render_value(v)
+            emitted.append(v)
         elif op == _DROP:
             vals.pop()
         else:  # _BIND
@@ -465,7 +515,7 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
             vals.append(task[1])
 
     final = vals.pop()
-    if made_closure:
+    if listed_closure or type(final) is Closure:
         final = render_value(final)
     return Halted(final, cursor - start, steps, tuple(emitted))
 

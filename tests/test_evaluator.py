@@ -122,6 +122,29 @@ def test_lambda_value_renders_as_source():
     assert halted_value("(lambda (x) x)") == ("lambda", ("x",), "x")
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("(= (lambda (x) x) (' (lambda (x) x)))", "true"),
+        # different environments, same source
+        ("(= ((lambda (y) (lambda (x) x)) a) (lambda (x) x))", "true"),
+        ("(= (join (lambda (x) x) ()) (' ((lambda (x) x))))", "true"),
+        ("(= (lambda (x) x) (lambda (x y) x))", "false"),
+        ("(= (lambda (x) x) lambda)", "false"),
+        ("(define (f) (lambda (q) q)) (head (join (f) ()))", ("lambda", ("q",), "q")),
+    ],
+)
+def test_closures_compare_and_render_as_source(text, value):
+    assert halted_value(text) == value
+
+
+def test_display_renders_closures_inside_lists():
+    out = run("(display (join (lambda (x) x) ()))")
+    assert isinstance(out, Halted)
+    assert out.emitted == ((("lambda", ("x",), "x"),),)
+    assert type(out.emitted[0][0]) is tuple
+
+
 def test_arity_padding_and_extras():
     assert halted_value("((lambda (a b) (join a (join b ()))) (' x))") == ("x", ())
     assert halted_value("((lambda (a) a) (' x) (' y))") == "x"
@@ -181,6 +204,45 @@ def test_deep_recursion_no_host_stack_overflow():
     out = run(text, budget=1 << 17)
     assert isinstance(out, Halted)
     assert out.value == "done"
+
+
+NEST_TEXT = (
+    "(define (nest x) (if (= (read-bit) 1) (nest (join x ())) x))"
+    " (= (nest {}) (nest {}))"
+)
+
+
+@pytest.mark.parametrize("n", [500, 5000, 100_000])
+@pytest.mark.parametrize(
+    "left, right, value",
+    [
+        ("a", "a", "true"),
+        ("a", "b", "false"),
+        ("a", "()", "false"),
+        ("(lambda (x) x)", "(' (lambda (x) x))", "true"),
+        ("(lambda (x) x)", "(lambda (y) x)", "false"),
+    ],
+    ids=["same-atom", "other-atom", "atom-vs-list", "closure-vs-source", "other-closure"],
+)
+def test_equality_of_values_nested_past_the_host_stack(n, left, right, value):
+    # two separately built lists nested n deep that differ at most at the
+    # bottom; the step count is the one measured on shallow nests
+    tape = ("1" * n + "0") * 2
+    out = run(NEST_TEXT.format(left, right), tape=tape, budget=10**8)
+    assert out == Halted(value, 2 * n + 2, 18 * (n + 1))
+
+
+@pytest.mark.parametrize(
+    "left, right, value",
+    [("x", "x", "true"), ("x", "y", "false")],
+)
+def test_equality_of_closures_with_bodies_nested_past_the_host_stack(left, right, value):
+    depth = 5000
+    body = "(" * depth + "{}" + ")" * depth
+    for text in ("(= (lambda (x) %s) (' (lambda (x) %s)))",
+                 "(= (lambda (x) %s) (lambda (x) %s))"):
+        out = run(text % (body.format(left), body.format(right)))
+        assert out == Halted(value, 0, 3)
 
 
 def test_run_remaining_runs_embedded_program():
@@ -308,3 +370,35 @@ def test_tape_monotonicity_fuzzed():
         assert extended.steps == out.steps
         assert extended.emitted == out.emitted
     assert checked > 200
+
+
+@pytest.mark.parametrize(
+    "text, steps",
+    [
+        ("(define (rev l a) (if (= l ()) a (rev (tail l) (join (head l) a))))"
+         " (rev (' %s) ())", 12 * 2000 + 10),
+        (IN_SET_TEXT + "(in-set? (' absent) (' %s))", 14 * 2000 + 10),
+    ],
+)
+def test_list_recursion_walks_values_a_bounded_number_of_times(monkeypatch, text, steps):
+    # Walking whole values on every step made list recursion quadratic.
+    from omegalab import evaluator
+
+    walks = []
+
+    def counted(walk):
+        def wrapper(*args):
+            walks.append(walk.__name__)
+            return walk(*args)
+
+        return wrapper
+
+    for name in ("_contains_closure", "_rebuild", "_deep_equal"):
+        monkeypatch.setattr(evaluator, name, counted(getattr(evaluator, name)))
+    items = "(" + " ".join("abcde"[i % 5] for i in range(2000)) + ")"
+    out = run(text % items, budget=10**6)
+    assert isinstance(out, Halted) and out.steps == steps
+    assert len(walks) <= 2
+    # the counter sees walks where a closure sits in a list
+    run("(display (join (lambda (x) x) ()))")
+    assert walks
