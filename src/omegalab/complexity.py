@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sexpr
+# parseable_texts_upto is unused here; the benchmark tracer patches it by name.
 from .dovetail import Census, STATUS_HALTED_VALID, parseable_texts_upto
 from .evaluator import Halted, program_head
 from .machine import BinaryProgram, encode_program, run_program
@@ -21,14 +22,10 @@ from .sexpr import QUOTE_ATOM, SExpr
 # Wrapper whose two nested runs consume two self-delimiting programs laid
 # end to end in the data and join their values into a pair.
 PAIR_WRAPPER_TEXT = "(join (run-remaining) (join (run-remaining) ()))"
-# Wrapper that hands its whole data section to one nested run.
-RELAY_WRAPPER_TEXT = "(run-remaining)"
 # Wrapper that pairs one embedded program's value with itself.
 DUP_WRAPPER_TEXT = "((lambda (v) (join v (join v ()))) (run-remaining))"
 
 DEFAULT_SEARCH_BUDGET = 1 << 16
-# Longest prefix text h_relative_upper tries in front of the given witness.
-RELATIVE_PREFIX_CHARS = 2
 
 
 class NotABitString(ValueError):
@@ -192,53 +189,25 @@ def h_relative_upper(
     census: Census | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> ComplexityEstimate:
-    """Upper bound on computing x given a witness program for y.
+    """Upper bound on computing x given a witness program wy for y.
 
-    Candidates come from two families: programs whose data starts with the
-    given witness's bits (a nested run reads the witness back; the relay
-    wrapper realizes "same value" at fixed overhead), and programs that
-    ignore the witness entirely (so the bound never exceeds the plain
-    upper bound for x by more than the search can miss).  Searched prefixes
-    are capped at RELATIVE_PREFIX_CHARS characters at desk scale.
+    The bound comes from two candidates: wy itself, when its value already
+    is x (ties go to wy), and the plain bound h_upper(x).  Programs that run
+    a prefix over wy's bits are not searched.  Only the literal forms
+    (read-bit) and (run-remaining) read the tape, so a prefix reads none of
+    wy before it spends the 10 characters of (read-bit), and the relay
+    (run-remaining) only reproduces wy's value at 128 bits more than wy.
     """
     wy_run = run_program(wy, budget)
     if not wy_run.valid_halt:
         raise InvalidWitness(f"not a validly halting program: {wy.hex}")
-    value_text = sexpr.print_canonical(x)
-
-    best: BinaryProgram | None = None
-
-    def consider(candidate: BinaryProgram, verified: bool = False) -> None:
-        nonlocal best
-        if best is not None and len(candidate.bits) >= len(best.bits):
-            return
-        if verified or _halts_validly_with(candidate, value_text, budget):
-            best = candidate
-
-    # Family 1: witness-consuming programs, smallest prefixes first.
-    consider(encode_program(sexpr.parse(RELAY_WRAPPER_TEXT), wy.bits))
-    seen_texts = set()
-    for text in parseable_texts_upto(RELATIVE_PREFIX_CHARS):
-        exprs = sexpr.parse_program_cached(text)
-        if not exprs:
-            continue
-        canonical = sexpr.print_program(exprs)
-        if canonical in seen_texts:
-            continue
-        seen_texts.add(canonical)
-        consider(encode_program(exprs, wy.bits))
-
-    # Family 2: ignore the witness.  The given program itself counts when
-    # its value already is x.
-    if sexpr.print_canonical(wy_run.outcome.value) == value_text:
-        consider(wy, verified=True)
-    unconditional = _estimate(x, census, budget)
-    if best is None or len(unconditional.witness.bits) < len(best.bits):
-        best = unconditional.witness
-
-    _verify_witness(best, value_text, budget)
-    searched = census.enrolled_bits if census is not None else 0
-    return ComplexityEstimate(x, len(best.bits), best, searched, budget)
+    plain = _estimate(x, census, budget)
+    given = sexpr.print_canonical(wy_run.outcome.value)
+    if given == sexpr.print_canonical(x) and len(wy.bits) <= plain.bound_bits:
+        return ComplexityEstimate(
+            x, len(wy.bits), wy, plain.search_exhausted_to, budget
+        )
+    return plain
 
 
 @dataclass(frozen=True, slots=True)

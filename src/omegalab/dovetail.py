@@ -319,7 +319,7 @@ _STATUSES = {
 
 def load_census(path) -> Census:
     """Read a census file; rejects other machine versions and truncated or
-    mangled files."""
+    mangled files, and headers or records no census run can produce."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _CENSUS_MAGIC:
@@ -333,6 +333,8 @@ def load_census(path) -> Census:
         count = int(header["records"])
     except (KeyError, ValueError, IndexError) as exc:
         raise CorruptFile(f"{path}: bad header: {exc}") from None
+    if max_bits < MIN_PROGRAM_BITS or stage < 0:
+        raise CorruptFile(f"{path}: bad header: max-bits {max_bits}, stage {stage}")
     _check_version(version, digest, f"{path}: census")
     body = lines[6:]
     if len(body) != count:
@@ -347,6 +349,9 @@ def load_census(path) -> Census:
             raise CorruptFile(f"{path}: bad record {line!r}: {exc}") from None
         if status not in _STATUSES:
             raise CorruptFile(f"{path}: unknown status {status!r}")
+        # No string shorter than one character and the separator decodes.
+        if len(bits) < MIN_PROGRAM_BITS or steps < 0:
+            raise CorruptFile(f"{path}: impossible record {line!r}")
         value_text = (
             value if status in (STATUS_HALTED_VALID, STATUS_HALTED_INVALID) else None
         )

@@ -2,13 +2,16 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.  The slow criteria (the brute-force enumeration oracle
-and the exhaustive prefix-freeness sweep) take a few minutes together;
-everything is deterministic, no tolerances beyond those stated.
+and the exhaustive prefix-freeness sweep) take a few minutes together and
+carry the ``slow`` marker; everything is deterministic, no tolerances
+beyond those stated.
 """
 
 import random
 import time
 from contextlib import contextmanager
+
+import pytest
 
 from conftest import IN_SET_TEXT, random_expr, random_sexpr, random_tape
 from omegalab.complexity import pair_overhead_bits, pair_programs
@@ -67,6 +70,7 @@ def test_criterion_1_paper_example_fidelity():
         assert elapsed < 1.0
 
 
+@pytest.mark.slow
 def test_criterion_2_enumeration_oracle_equivalence():
     with criterion(2, "enumeration equals brute force at 24 bits"):
         enumerated = set()
@@ -105,6 +109,7 @@ def test_criterion_3_kraft_and_monotone_bound():
         assert record.status == STATUS_HALTED_VALID
 
 
+@pytest.mark.slow
 def test_criterion_4_prefix_freeness_exhaustive():
     with criterion(4, "valid-halt domain is prefix-free through 32 bits"):
         valid = []

@@ -1,11 +1,14 @@
 """Upper-bound estimators and the constructive pairing constant."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import atoms, sexprs
 from omegalab.complexity import (
     COMPRESSIBLE_NOTE,
+    DEFAULT_SEARCH_BUDGET,
     DUP_WRAPPER_TEXT,
     INCOMPRESSIBLE_NOTE,
     InvalidWitness,
@@ -20,7 +23,8 @@ from omegalab.complexity import (
     pair_programs,
     randomness_report,
 )
-from omegalab.dovetail import advance, new_census
+from omegalab.dovetail import advance, new_census, parseable_texts_upto
+from omegalab.evaluator import Halted
 from omegalab.machine import encode_text, run_program
 from omegalab.sexpr import parse_one, print_canonical
 
@@ -219,6 +223,50 @@ def test_h_relative_unrelated_no_worse_than_plain(desk_census):
 def test_h_relative_rejects_bad_witness():
     with pytest.raises(InvalidWitness):
         h_relative_upper("a", encode_text("(read-bit)"))
+
+
+def test_short_prefixes_never_read_the_given_witness():
+    # Reading the tape takes at least the 10 characters of (read-bit), so a
+    # prefix of at most 2 characters cannot use a witness laid after it.
+    for text in parseable_texts_upto(2):
+        program = encode_text(text, "1")
+        outcome = run_program(program, DEFAULT_SEARCH_BUDGET).outcome
+        assert isinstance(outcome, Halted), text
+        assert outcome.bits_consumed == 0, text
+
+
+def test_h_relative_is_the_given_witness_or_the_plain_bound(desk_census):
+    rng = random.Random(4)
+    values = sorted(
+        {r.value_text for r in desk_census.records.values()
+         if r.status == "halted-valid"}
+    )
+    hit, other = (parse_one(text) for text in rng.sample(values, 2))
+    witnesses = [
+        h_upper(hit, desk_census).witness,  # a census winner
+        encode_text("abc"),  # beats the literal; the census cannot reach it
+        encode_text("(read-bit)", "1"),  # reads its one data bit
+        encode_text("(join (read-bit) ())", "0"),  # needs 3 steps
+    ]
+    for wy in witnesses:
+        own = run_program(wy, DEFAULT_SEARCH_BUDGET).outcome.value
+        grid = [(own, b) for b in (1, 2, 3, 4, DEFAULT_SEARCH_BUDGET)]
+        grid += [(other, DEFAULT_SEARCH_BUDGET), ("zzz", DEFAULT_SEARCH_BUDGET)]
+        for x, budget in grid:
+            if not run_program(wy, budget).valid_halt:
+                with pytest.raises(InvalidWitness):
+                    h_relative_upper(x, wy, desk_census, budget)
+                continue
+            plain = h_upper(x, desk_census, budget)
+            wins = (
+                print_canonical(own) == print_canonical(x)
+                and len(wy.bits) <= plain.bound_bits
+            )
+            want = wy if wins else plain.witness
+            got = h_relative_upper(x, wy, desk_census, budget)
+            assert (got.bound_bits, got.witness, got.search_exhausted_to) == (
+                len(want.bits), want, plain.search_exhausted_to
+            ), (print_canonical(x), wy.hex, budget)
 
 
 def test_randomness_report_empty_string_matches_h_upper(desk_census):

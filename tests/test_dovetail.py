@@ -312,3 +312,53 @@ def test_load_rejects_duplicate_records(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorruptFile):
         load_census(path)
+
+
+def _forge(tmp_path, edit):
+    """Save a small census, let edit() change its lines, fix the count."""
+    path = tmp_path / "forged.census"
+    save_census(advance(new_census(20), 2), path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    lines[5] = f"records {len(lines) - 6}"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_forge_helper_keeps_a_valid_file(tmp_path):
+    path = _forge(tmp_path, lambda lines: None)
+    assert load_census(path) == advance(new_census(20), 2)
+
+
+def test_load_rejects_max_bits_below_one_program(tmp_path):
+    def edit(lines):
+        lines[3] = f"max-bits {MIN_PROGRAM_BITS - 1}"
+
+    with pytest.raises(CorruptFile):
+        load_census(_forge(tmp_path, edit))
+
+
+def test_load_rejects_negative_stage(tmp_path):
+    def edit(lines):
+        lines[4] = "stage -3"
+
+    with pytest.raises(CorruptFile):
+        load_census(_forge(tmp_path, edit))
+
+
+def test_load_rejects_negative_steps(tmp_path):
+    def edit(lines):
+        hex_text, length, status, _, value = lines[6].split(" ", 4)
+        lines[6] = f"{hex_text} {length} {status} -1 {value}"
+
+    with pytest.raises(CorruptFile):
+        load_census(_forge(tmp_path, edit))
+
+
+def test_load_rejects_record_shorter_than_any_program(tmp_path):
+    # a one-bit "program" marked halted-valid would add 1/2 to the bound
+    def edit(lines):
+        lines.append("00 1 halted-valid 3 a")
+
+    with pytest.raises(CorruptFile):
+        load_census(_forge(tmp_path, edit))
