@@ -11,6 +11,13 @@ scheduled.
 Dovetail schedule: at stage t every program of at most ``16 + t`` bits
 (capped by the census's corpus bound) gets a budget of ``2**t`` steps.
 Every program therefore eventually receives an unbounded budget.
+
+A run depends on its data only through the bits it reads, so a stage runs
+each program text once per read path rather than once per bit string:
+first with no data, then one bit longer only while the run aborts before
+the end of some record's data.  Every extension of a path inherits the
+outcome of the run that decided it (the halting-prefix pruning of Calude,
+Dinneen and Shu, "Computing a glimpse of randomness", 2002).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .evaluator import (
     AbortOverrun,
     Halted,
     MalformedProgram,
+    head_length,
     max_text_chars,
     program_head,
 )
@@ -146,35 +154,73 @@ def enumerate_programs(
     rather than by trying every bit string.
     """
     for length in range(max(min_bits, MIN_PROGRAM_BITS), max_bits + 1):
+        # Every data string of each length, formatted once per program length.
+        data_suffixes: dict[int, list[str]] = {}
         for text in parseable_texts_upto(max_text_chars(length)):
             head = program_head(text)
             data_len = length - len(head)
             if data_len < 0:
                 continue
-            if data_len == 0:
-                yield BinaryProgram(head)
-            else:
-                for value in range(1 << data_len):
-                    yield BinaryProgram(head + format(value, f"0{data_len}b"))
+            suffixes = data_suffixes.get(data_len)
+            if suffixes is None:
+                suffixes = data_suffixes[data_len] = (
+                    [format(value, f"0{data_len}b") for value in range(1 << data_len)]
+                    if data_len
+                    else [""]
+                )
+            for data in suffixes:
+                yield BinaryProgram(head + data)
 
 
 # --- the dovetail ---------------------------------------------------------
 
 
-def _run_pending(args: tuple[str, int]) -> tuple[str, int, str | None]:
-    """Worker: run one program, reduce the outcome to record fields."""
-    bits, budget = args
-    result = run_program(BinaryProgram(bits), budget)
-    out = result.outcome
-    if isinstance(out, Halted):
-        status = STATUS_HALTED_VALID if result.valid_halt else STATUS_HALTED_INVALID
-        return status, out.steps, sexpr.print_canonical(out.value)
-    if isinstance(out, AbortOverrun):
-        return STATUS_ABORTED, out.steps, None
-    if isinstance(out, MalformedProgram):
-        # Decodable but structurally unrunnable (non-define leading form).
-        return STATUS_ABORTED, 0, None
-    return STATUS_UNKNOWN, budget, None
+def _decide_head(
+    group: tuple[str, tuple[str, ...], int],
+) -> list[tuple[str, int, str | None]]:
+    """Worker: decide every record that shares one head, one read path at a
+    time; returns (status, steps, value text) per data string, in order.
+
+    A run on ``head + data[:j]`` that halts, runs out of time or is
+    malformed read at most j data bits, so the run on ``head + data`` does
+    the same: its outcome decides the record.  An abort before the end of
+    the data may be a read past bit j, so the path grows by one bit and runs
+    again.  Runs are kept by bit string while the group lasts, so each path
+    is run once however many records extend it.
+    """
+    head, datas, budget = group
+    runs: dict[str, tuple[str, int, str | None, int | None]] = {}
+
+    def run(bits: str) -> tuple[str, int, str | None, int | None]:
+        """(status, steps, value text, data bits read; None on an abort)."""
+        fields = runs.get(bits)
+        if fields is None:
+            out = run_program(BinaryProgram(bits), budget).outcome
+            if isinstance(out, Halted):
+                value_text = sexpr.print_canonical(out.value)
+                fields = (STATUS_HALTED_VALID, out.steps, value_text, out.bits_consumed)
+            elif isinstance(out, AbortOverrun):
+                fields = (STATUS_ABORTED, out.steps, None, None)
+            elif isinstance(out, MalformedProgram):
+                # Undecodable, or decodable but structurally unrunnable.
+                fields = (STATUS_ABORTED, 0, None, 0)
+            else:
+                fields = (STATUS_UNKNOWN, budget, None, 0)
+            runs[bits] = fields
+        return fields
+
+    first = run(head)
+    decided = []
+    for data in datas:
+        j = 0
+        status, steps, value_text, read = first
+        while read is None and j < len(data):
+            j += 1
+            status, steps, value_text, read = run(head + data[:j])
+        if status == STATUS_HALTED_VALID and read != len(data):
+            status = STATUS_HALTED_INVALID
+        decided.append((status, steps, value_text))
+    return decided
 
 
 def _check_version(version: str, digest: str, source: str = "census") -> None:
@@ -192,9 +238,10 @@ def advance(
 ) -> Census:
     """Run the next ``stages`` dovetail stages, updating the census in place.
 
-    Work within a stage may be spread over ``jobs`` processes; the result is
-    byte-identical either way because records are applied in enumeration
-    order and statuses, once decided, are final.
+    Pending records are grouped by head, and the groups may be spread over
+    ``jobs`` processes; the result is byte-identical either way because each
+    record's fields depend only on its own bits and the stage's budget, and
+    statuses, once decided, are final.
     """
     _check_version(census.version, census.config_digest)
     for _ in range(stages):
@@ -205,12 +252,17 @@ def advance(
         if size_cap > prev_cap:
             for program in enumerate_programs(size_cap, prev_cap + 1):
                 census.records[program.bits] = Record(program.bits)
-        pending = [r for r in census.records.values() if not r.decided]
-        if pending:
-            work = [(r.bits, budget) for r in pending]
-            for record, (status, steps, value_text) in zip(
-                pending, _map_runs(work, jobs)
-            ):
+        groups: dict[str, list[Record]] = {}
+        for record in census.records.values():
+            if record.status == STATUS_UNKNOWN:
+                bits = record.bits
+                groups.setdefault(bits[: head_length(bits)], []).append(record)
+        work = [
+            (head, tuple(r.bits[len(head) :] for r in group), budget)
+            for head, group in groups.items()
+        ]
+        for group, decided in zip(groups.values(), _map_groups(work, jobs)):
+            for record, (status, steps, value_text) in zip(group, decided):
                 record.status = status
                 record.steps = steps
                 record.value_text = value_text
@@ -218,21 +270,26 @@ def advance(
     return census
 
 
-def _map_runs(work: list[tuple[str, int]], jobs: int):
+def _map_groups(work: list[tuple[str, tuple[str, ...], int]], jobs: int):
     if jobs <= 1 or len(work) < 2:
-        return [_run_pending(item) for item in work]
+        return [_decide_head(group) for group in work]
     chunk = max(1, len(work) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_pending, work, chunksize=chunk))
+        return list(pool.map(_decide_head, work, chunksize=chunk))
 
 
 def omega_lower_bound(census: Census) -> DyadicRational:
     """Exact sum of 2**-|p| over programs known to halt validly."""
-    total = Fraction(0)
-    for record in census.records.values():
-        if record.status == STATUS_HALTED_VALID:
-            total += Fraction(1, 2 ** len(record.bits))
-    return DyadicRational(total)
+    lengths = [
+        len(record.bits)
+        for record in census.records.values()
+        if record.status == STATUS_HALTED_VALID
+    ]
+    if not lengths:
+        return DyadicRational.zero()
+    # One integer sum over the common denominator 2**top.
+    top = max(lengths)
+    return DyadicRational(Fraction(sum(1 << (top - n) for n in lengths), 1 << top))
 
 
 @dataclass(frozen=True, slots=True)

@@ -108,6 +108,18 @@ def program_head(text: str) -> str:
     return "".join(f"{ord(c):08b}" for c in text) + "00000000"
 
 
+def head_length(bits: str) -> int:
+    """Length of the head of a bit string: its bits through the first
+    byte-aligned separator, or the whole string when it has none.
+
+    Decoding never looks past the head, so every bit after it is tape data.
+    """
+    at = bits.find("00000000")
+    while at > 0 and at % 8:
+        at = bits.find("00000000", at + 1)
+    return at + 8 if at >= 0 else len(bits)
+
+
 def max_text_chars(n_bits: int) -> int:
     """Length of the longest program text whose head fits in n_bits."""
     return n_bits // 8 - 1

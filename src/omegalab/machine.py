@@ -46,16 +46,14 @@ def bits_to_hex(bits: str) -> str:
     if not bits:
         return ""
     padded = bits + "0" * (-len(bits) % 8)
-    return bytes(
-        int(padded[i : i + 8], 2) for i in range(0, len(padded), 8)
-    ).hex()
+    return int(padded, 2).to_bytes(len(padded) // 8, "big").hex()
 
 
 def hex_to_bits(hex_text: str, bit_length: int) -> str:
     raw = bytes.fromhex(hex_text)
     if len(raw) != (bit_length + 7) // 8:
         raise ValueError("hex length does not match declared bit length")
-    bits = "".join(f"{b:08b}" for b in raw)
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b") if raw else ""
     if bits[bit_length:].strip("0"):
         raise ValueError("nonzero padding bits after declared length")
     return bits[:bit_length]

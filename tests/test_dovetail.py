@@ -1,10 +1,14 @@
 """Enumeration, the dovetail schedule, and the halting census."""
 
+import copy
 import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from conftest import DIVERGER_TEXT
 from omegalab.dovetail import (
     CorruptFile,
     MIN_PROGRAM_BITS,
@@ -25,11 +29,20 @@ from omegalab.dovetail import (
     save_census,
 )
 from omegalab.dyadic import DyadicRational
+from omegalab.evaluator import (
+    AbortOverrun,
+    Halted,
+    MalformedProgram,
+    program_head,
+)
 from omegalab.machine import (
+    BinaryProgram,
     DecodedProgram,
     decode_program,
     encode_text,
+    run_program,
 )
+from omegalab.sexpr import print_canonical
 
 
 def brute_force_decodable(max_bits):
@@ -133,6 +146,24 @@ def test_omega_bound_single_valid_halt_weight():
         program.bits, STATUS_HALTED_VALID, 1, "a"
     )
     assert omega_lower_bound(census) == DyadicRational.half_power(48)
+
+
+def test_omega_bound_equals_the_per_record_fraction_sum():
+    rng = random.Random(20020)
+    statuses = [
+        STATUS_HALTED_VALID, STATUS_HALTED_INVALID, STATUS_ABORTED, STATUS_UNKNOWN
+    ]
+    for size in [0, 0, 1, 2, 5, 40, 300]:
+        census = new_census(64)
+        for _ in range(size):
+            length = rng.randint(MIN_PROGRAM_BITS, 64)
+            bits = format(rng.getrandbits(length), f"0{length}b")
+            census.records[bits] = Record(bits, rng.choice(statuses))
+        expected = Fraction(0)
+        for record in census.records.values():
+            if record.status == STATUS_HALTED_VALID:
+                expected += Fraction(1, 2 ** len(record.bits))
+        assert omega_lower_bound(census) == DyadicRational(expected)
 
 
 def test_omega_bound_monotone_and_kraft_over_stages():
@@ -362,3 +393,129 @@ def test_load_rejects_record_shorter_than_any_program(tmp_path):
 
     with pytest.raises(CorruptFile):
         load_census(_forge(tmp_path, edit))
+
+
+# --- read paths -------------------------------------------------------------
+#
+# No enumerated program under 88 bits reads a tape bit, so the census
+# suites above never take a branch of a read path.  These records are
+# enrolled by hand and checked against one whole-string run each.
+
+
+def _reference_fields(bits: str, budget: int) -> tuple[str, int, str | None]:
+    """Record fields from one run of the whole bit string."""
+    result = run_program(BinaryProgram(bits), budget)
+    out = result.outcome
+    if isinstance(out, Halted):
+        status = STATUS_HALTED_VALID if result.valid_halt else STATUS_HALTED_INVALID
+        return status, out.steps, print_canonical(out.value)
+    if isinstance(out, AbortOverrun):
+        return STATUS_ABORTED, out.steps, None
+    if isinstance(out, MalformedProgram):
+        return STATUS_ABORTED, 0, None
+    return STATUS_UNKNOWN, budget, None
+
+
+def _reference_advance(census, stages: int):
+    for _ in range(stages):
+        census.stage += 1
+        for record in census.records.values():
+            if not record.decided:
+                fields = _reference_fields(record.bits, 2**census.stage)
+                record.status, record.steps, record.value_text = fields
+    return census
+
+
+def _all_data(max_len: int) -> list[str]:
+    return [
+        format(value, f"0{n}b") if n else ""
+        for n in range(max_len + 1)
+        for value in range(1 << n)
+    ]
+
+
+READ_PATH_PROGRAMS = [
+    ("(read-bit)", 5),
+    ("(join (read-bit) (read-bit))", 5),
+    ("(if (= (read-bit) 1) (read-bit) a)", 5),
+    # reads while it sees 1, halts on the first 0
+    ("(define (f) (if (= (read-bit) 1) (f) z)) (f)", 6),
+    ("(' a)", 3),
+]
+
+RUN_REMAINING_TAPES = [
+    program_head("(' a)"),  # a complete embedded program
+    program_head("(' a)")[:20],  # ends inside a byte
+    "00000001" + "00000000",  # a byte outside the text alphabet
+    program_head("(read-bit)") + "1",  # an embedded program with data
+    program_head("(read-bit)") + "10",  # and with a bit left over
+]
+
+
+def _read_path_bits() -> list[str]:
+    bits = [
+        program_head(text) + data
+        for text, max_data in READ_PATH_PROGRAMS
+        for data in _all_data(max_data)
+    ]
+    runner = program_head("(run-remaining)")
+    for tape in RUN_REMAINING_TAPES:
+        bits.extend(runner + tape[:j] for j in range(len(tape) + 1))
+    bits += [
+        "0110",  # no separator
+        "00000001" + "00000000" + "10",  # bad character
+        program_head(")") + "1",  # does not parse
+        program_head("(' a) (' b)") + "1",  # non-define leading form
+    ]
+    return list(dict.fromkeys(bits))
+
+
+# Counts down a quoted list before one read: about 650 steps, so it runs
+# out of time at budget 2**9 and is decided at 2**10.
+COUNTDOWN_TEXT = (
+    "(define (f n) (if (= n ()) (read-bit) (f (tail n)))) (f (' ("
+    + " ".join(["x"] * 80)
+    + ")))"
+)
+
+
+def _hand_enrolled(max_bits: int, bits: list[str]):
+    census = new_census(max_bits)
+    census.stage = max_bits - MIN_PROGRAM_BITS  # nothing left to enrol
+    for b in bits:
+        census.records[b] = Record(b)
+    return census
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("stages", [1, 3])
+def test_read_paths_match_whole_string_runs(jobs, stages):
+    census = _hand_enrolled(400, _read_path_bits())
+    expected = _reference_advance(copy.deepcopy(census), stages)
+    advanced = advance(census, stages, jobs=jobs)
+    assert list(advanced.records) == list(expected.records)
+    assert advanced == expected
+    statuses = {r.status for r in advanced.records.values()}
+    assert statuses == {
+        STATUS_HALTED_VALID, STATUS_HALTED_INVALID, STATUS_ABORTED
+    }
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_read_paths_out_of_time_across_stages(jobs):
+    bits = [
+        program_head(text) + data
+        for text in (COUNTDOWN_TEXT, DIVERGER_TEXT)
+        for data in _all_data(3)
+    ]
+    census = _hand_enrolled(24, bits)
+    expected = copy.deepcopy(census)
+    for stage in range(3):
+        advance(census, 1, jobs=jobs)
+        _reference_advance(expected, 1)
+        assert census == expected
+        counts = Counter(r.status for r in census.records.values())
+        if stage == 0:
+            assert counts == {STATUS_UNKNOWN: len(bits)}
+        else:
+            assert counts[STATUS_HALTED_VALID] == 2  # the countdown, one data bit

@@ -168,6 +168,33 @@ def test_hex_rejects_bad_padding():
         hex_to_bits("ff", 24)
 
 
+def _hex_by_bytes(bits: str) -> str:
+    padded = bits + "0" * (-len(bits) % 8)
+    return bytes(int(padded[i : i + 8], 2) for i in range(0, len(padded), 8)).hex()
+
+
+def test_hex_codec_matches_a_per_byte_reference():
+    rng = random.Random(808)
+    for length in range(41):
+        samples = {"0" * length, "1" * length}
+        samples.update(
+            format(rng.getrandbits(length), f"0{length}b") if length else ""
+            for _ in range(20)
+        )
+        for bits in samples:
+            hex_text = bits_to_hex(bits)
+            assert hex_text == _hex_by_bytes(bits)
+            assert hex_to_bits(hex_text, length) == bits
+            assert bits_of_bytes(bytes.fromhex(hex_text))[:length] == bits
+        with pytest.raises(ValueError, match="length"):
+            hex_to_bits(_hex_by_bytes("1" * length) + "00", length)
+        if length % 8:
+            padded = _hex_by_bytes("0" * length)
+            last = format(int(padded[-2:], 16) | 1, "02x")
+            with pytest.raises(ValueError, match="padding"):
+                hex_to_bits(padded[:-2] + last, length)
+
+
 def test_program_file_round_trip(tmp_path):
     program = encode_text("(' (a b))", "101")
     path = tmp_path / "p.prog"
