@@ -17,7 +17,6 @@ from . import complexity, dovetail, incompleteness, machine, sexpr
 from .evaluator import (
     AbortOverrun,
     BitTape,
-    CapExceeded,
     Halted,
     OutOfTime,
     evaluate,
@@ -366,7 +365,6 @@ _COMMANDS = {
 
 _DOMAIN_EXCEPTIONS = (
     sexpr.SExprError,
-    CapExceeded,
     dovetail.VersionMismatch,
     dovetail.CorruptFile,
     dovetail.StageCapExceeded,

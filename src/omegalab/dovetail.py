@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -123,15 +124,8 @@ _SORTED_TEXT_CHARS = tuple(sorted(sexpr.TEXT_CHARS))
 @lru_cache(maxsize=None)
 def parseable_texts_of_length(k: int) -> tuple[str, ...]:
     """All parseable program texts of exactly k characters, in byte order."""
-    found = []
-    for combo in itertools.product(_SORTED_TEXT_CHARS, repeat=k):
-        text = "".join(combo)
-        try:
-            if sexpr.parse(text):
-                found.append(text)
-        except sexpr.SExprError:
-            pass
-    return tuple(found)
+    texts = map("".join, itertools.product(_SORTED_TEXT_CHARS, repeat=k))
+    return tuple(text for text in texts if sexpr.parse_program_cached(text))
 
 
 @lru_cache(maxsize=None)
@@ -239,43 +233,42 @@ def advance(
     """Run the next ``stages`` dovetail stages, updating the census in place.
 
     Pending records are grouped by head, and the groups may be spread over
-    ``jobs`` processes; the result is byte-identical either way because each
-    record's fields depend only on its own bits and the stage's budget, and
-    statuses, once decided, are final.
+    one pool of ``jobs`` processes that serves every stage; the result is
+    byte-identical either way because each record's fields depend only on
+    its own bits and the stage's budget, and statuses, once decided, are
+    final.
     """
     _check_version(census.version, census.config_digest)
-    for _ in range(stages):
-        t = census.stage + 1
-        size_cap = min(MIN_PROGRAM_BITS + t, census.max_bits)
-        budget = 2**t
-        prev_cap = census.enrolled_bits
-        if size_cap > prev_cap:
-            for program in enumerate_programs(size_cap, prev_cap + 1):
-                census.records[program.bits] = Record(program.bits)
-        groups: dict[str, list[Record]] = {}
-        for record in census.records.values():
-            if record.status == STATUS_UNKNOWN:
-                bits = record.bits
-                groups.setdefault(bits[: head_length(bits)], []).append(record)
-        work = [
-            (head, tuple(r.bits[len(head) :] for r in group), budget)
-            for head, group in groups.items()
-        ]
-        for group, decided in zip(groups.values(), _map_groups(work, jobs)):
-            for record, (status, steps, value_text) in zip(group, decided):
-                record.status = status
-                record.steps = steps
-                record.value_text = value_text
-        census.stage = t
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for _ in range(stages):
+            t = census.stage + 1
+            size_cap = min(MIN_PROGRAM_BITS + t, census.max_bits)
+            budget = 2**t
+            prev_cap = census.enrolled_bits
+            if size_cap > prev_cap:
+                for program in enumerate_programs(size_cap, prev_cap + 1):
+                    census.records[program.bits] = Record(program.bits)
+            groups: dict[str, list[Record]] = {}
+            for record in census.records.values():
+                if record.status == STATUS_UNKNOWN:
+                    bits = record.bits
+                    groups.setdefault(bits[: head_length(bits)], []).append(record)
+            work = [
+                (head, tuple(r.bits[len(head) :] for r in group), budget)
+                for head, group in groups.items()
+            ]
+            if pool is None:
+                results = map(_decide_head, work)
+            else:
+                chunk = max(1, len(work) // (jobs * 8))
+                results = pool.map(_decide_head, work, chunksize=chunk)
+            for group, decided in zip(groups.values(), results):
+                for record, (status, steps, value_text) in zip(group, decided):
+                    record.status = status
+                    record.steps = steps
+                    record.value_text = value_text
+            census.stage = t
     return census
-
-
-def _map_groups(work: list[tuple[str, tuple[str, ...], int]], jobs: int):
-    if jobs <= 1 or len(work) < 2:
-        return [_decide_head(group) for group in work]
-    chunk = max(1, len(work) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_decide_head, work, chunksize=chunk))
 
 
 def omega_lower_bound(census: Census) -> DyadicRational:

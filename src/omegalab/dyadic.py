@@ -79,6 +79,8 @@ class DyadicRational:
         With n_bits the fractional part is truncated or zero-padded to that
         width; otherwise all (finitely many) digits are shown.
         """
+        if n_bits is not None and n_bits < 0:
+            raise ValueError("n_bits must be >= 0")
         f = self.fraction
         whole = f.numerator // f.denominator
         frac = f - whole

@@ -98,8 +98,6 @@ EMPTY_PROGRAM = "EmptyProgram"
 _MALFORMED_NO_SEPARATOR = MalformedProgram(NO_SEPARATOR)
 _MALFORMED_BAD_CHAR = MalformedProgram(BAD_CHAR)
 _MALFORMED_PARSE_FAIL = MalformedProgram(PARSE_FAIL)
-# Character of every nonzero byte, keyed by its 8 bits; 0x00 is the separator.
-_BYTE_CHARS = {f"{b:08b}": chr(b) for b in range(1, 256)}
 
 
 def program_head(text: str) -> str:
@@ -108,15 +106,21 @@ def program_head(text: str) -> str:
     return "".join(f"{ord(c):08b}" for c in text) + "00000000"
 
 
+def _separator_at(bits: str, cursor: int) -> int:
+    """Index of the first separator byte aligned with cursor, or -1."""
+    at = bits.find("00000000", cursor)
+    while at >= 0 and (at - cursor) % 8:
+        at = bits.find("00000000", at + 1)
+    return at
+
+
 def head_length(bits: str) -> int:
     """Length of the head of a bit string: its bits through the first
     byte-aligned separator, or the whole string when it has none.
 
     Decoding never looks past the head, so every bit after it is tape data.
     """
-    at = bits.find("00000000")
-    while at > 0 and at % 8:
-        at = bits.find("00000000", at + 1)
+    at = _separator_at(bits, 0)
     return at + 8 if at >= 0 else len(bits)
 
 
@@ -136,22 +140,17 @@ def scan_program(
     separator, a byte outside the text alphabet, a text that does not parse
     to at least one expression.
     """
-    chars: list[str] = []
-    while True:
-        ch = _BYTE_CHARS.get(bits[cursor : cursor + 8])
-        if ch is None:
-            if bits[cursor : cursor + 8] != "00000000":
-                return _MALFORMED_NO_SEPARATOR
-            break
-        chars.append(ch)
-        cursor += 8
-    text = "".join(chars)
+    at = _separator_at(bits, cursor)
+    if at < 0:
+        return _MALFORMED_NO_SEPARATOR
+    n = (at - cursor) // 8
+    text = int(bits[cursor:at] or "0", 2).to_bytes(n, "big").decode("latin-1")
     if not TEXT_CHARS.issuperset(text):
         return _MALFORMED_BAD_CHAR
     exprs = parse_program_cached(text)
     if exprs is None:
         return _MALFORMED_PARSE_FAIL
-    return exprs, text, cursor + 8
+    return exprs, text, at + 8
 
 
 class CapExceeded(Exception):

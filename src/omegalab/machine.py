@@ -50,6 +50,8 @@ def bits_to_hex(bits: str) -> str:
 
 
 def hex_to_bits(hex_text: str, bit_length: int) -> str:
+    if bit_length < 0:
+        raise ValueError("bit length must be >= 0")
     raw = bytes.fromhex(hex_text)
     if len(raw) != (bit_length + 7) // 8:
         raise ValueError("hex length does not match declared bit length")

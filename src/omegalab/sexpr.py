@@ -15,6 +15,7 @@ which keeps parse/print round trips exact.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
 
 SExpr = Union[str, tuple]
@@ -189,22 +190,14 @@ def print_program(exprs: Iterable[SExpr]) -> str:
     return " ".join(print_canonical(e) for e in exprs)
 
 
-# Parse results for program texts, shared by the machine decoder and the
-# evaluator's nested-run primitive.  Every text looked up is cached, the
-# rejected ones (None) included, and nothing is ever evicted.
-_PARSE_CACHE: dict[str, Optional[tuple[SExpr, ...]]] = {}
-
-
+# Parse results for program texts, shared by the census text pool, the
+# machine decoder and the evaluator's nested-run primitive.  The memo is
+# bounded: it keeps the most recently used texts, the rejected ones (None)
+# included, and evicts the rest.
+@lru_cache(maxsize=1 << 16)
 def parse_program_cached(text: str) -> Optional[tuple[SExpr, ...]]:
     """Parse a program text, or None if it is not a nonempty program."""
     try:
-        return _PARSE_CACHE[text]
-    except KeyError:
-        pass
-    try:
-        exprs = parse(text)
+        return parse(text) or None
     except SExprError:
-        exprs = None
-    result = exprs if exprs else None
-    _PARSE_CACHE[text] = result
-    return result
+        return None

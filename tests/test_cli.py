@@ -139,6 +139,15 @@ def test_census_omega_and_decide_flow(capsys, tmp_path):
     assert report["decide"]["halting"] > 0
 
 
+def test_omega_negative_width_is_domain_error(capsys, tmp_path):
+    census_path = tmp_path / "c.census"
+    run_cli(capsys, "census", "--stages", "2", "--out", str(census_path), "--max-bits", "17")
+    code, out, err = run_cli(capsys, "omega", "--census", str(census_path), "--bits", "-2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error ValueError")
+
+
 def test_census_jobs_flag_changes_nothing(capsys, tmp_path):
     a = tmp_path / "a.census"
     b = tmp_path / "b.census"

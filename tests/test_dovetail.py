@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import DIVERGER_TEXT
+from omegalab import dovetail
 from omegalab.dovetail import (
     CorruptFile,
     MIN_PROGRAM_BITS,
@@ -126,6 +127,20 @@ def test_parallel_jobs_match_sequential_on_desk_corpus():
 
     counts = Counter(r.status for r in parallel.records.values())
     assert counts == Counter(r.status for r in sequential.records.values())
+
+
+def test_advance_opens_one_process_pool_for_all_stages(monkeypatch):
+    made = []
+
+    class CountingPool(dovetail.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dovetail, "ProcessPoolExecutor", CountingPool)
+    parallel = advance(new_census(20), 3, jobs=2)
+    assert len(made) == 1
+    assert parallel == advance(new_census(20), 3, jobs=1)
 
 
 def test_advance_rejects_foreign_census():

@@ -71,6 +71,13 @@ def test_binary_expansion():
     assert DyadicRational.zero().binary_expansion() == "0."
 
 
+def test_binary_expansion_rejects_negative_width():
+    x = DyadicRational(Fraction(0b1011, 2**4))
+    for n in (-1, -2, -5):
+        with pytest.raises(ValueError):
+            x.binary_expansion(n)
+
+
 def test_str_forms():
     assert str(DyadicRational.zero()) == "0"
     assert str(DyadicRational.half_power(0)) == "1"

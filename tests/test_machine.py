@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import bit_strings, sexprs
-from omegalab.evaluator import AbortOverrun, Halted, MalformedProgram
+from omegalab.evaluator import (
+    AbortOverrun,
+    Halted,
+    MalformedProgram,
+    head_length,
+    program_head,
+    scan_program,
+)
 from omegalab.dovetail import enumerate_programs
 from omegalab.machine import (
     BinaryProgram,
@@ -22,7 +29,7 @@ from omegalab.machine import (
     run_program,
     save_program,
 )
-from omegalab.sexpr import parse
+from omegalab.sexpr import TEXT_CHARS, SExprError, parse, parse_program_cached
 
 
 def bits_of_bytes(raw: bytes) -> str:
@@ -84,6 +91,101 @@ def test_decode_failure_reason_order():
     assert decode_program("00000001") == MalformedProgram("NoSeparator")
     assert decode_program("0000000100000000") == MalformedProgram("BadChar")
     assert decode_program("0010100000000000") == MalformedProgram("ParseFail")
+
+
+_BYTE_CHARS = {f"{b:08b}": chr(b) for b in range(1, 256)}
+
+
+def _scan_by_bytes(bits: str, cursor: int):
+    """Oracle: the scanner as a loop over 8-bit slices, with an uncached
+    parse; same result shape and failure order as scan_program."""
+    chars = []
+    while True:
+        ch = _BYTE_CHARS.get(bits[cursor : cursor + 8])
+        if ch is None:
+            if bits[cursor : cursor + 8] != "00000000":
+                return MalformedProgram("NoSeparator")
+            break
+        chars.append(ch)
+        cursor += 8
+    text = "".join(chars)
+    if not TEXT_CHARS.issuperset(text):
+        return MalformedProgram("BadChar")
+    try:
+        exprs = parse(text)
+    except SExprError:
+        exprs = ()
+    if not exprs:
+        return MalformedProgram("ParseFail")
+    return exprs, text, cursor + 8
+
+
+def _embedded_heads(seed: int, count: int):
+    """Seeded (bits, cursor) pairs: junk bits up to the cursor, then a head
+    built from parseable, unparseable and out-of-alphabet texts, with random
+    zero bytes and data after it."""
+    rng = random.Random(seed)
+    texts = ["a", "()", "(' a)", "(read-bit)", "(", ")(", "'", "", " ", "\x7f", "a\xff"]
+    for _ in range(count):
+        cursor = rng.randrange(0, 20)
+        bits = "".join(rng.choice("01") for _ in range(cursor))
+        for _ in range(rng.randrange(1, 3)):
+            piece = rng.choice(texts)
+            bits += program_head(piece) if rng.random() < 0.8 else program_head(piece)[:-8]
+        if rng.random() < 0.3:
+            bits = bits[: rng.randrange(cursor, len(bits) + 1)]
+        bits += "".join(rng.choice("01") for _ in range(rng.randrange(0, 12)))
+        yield bits, cursor
+
+
+def test_scan_program_matches_a_per_byte_reference():
+    outcomes = set()
+    for length in range(17):
+        for value in range(1 << length):
+            bits = format(value, f"0{length}b") if length else ""
+            for cursor in range(8):
+                expected = _scan_by_bytes(bits, cursor)
+                assert scan_program(bits, cursor) == expected, (bits, cursor)
+                outcomes.add(type(expected))
+    for bits, cursor in _embedded_heads(1606, 20000):
+        expected = _scan_by_bytes(bits, cursor)
+        assert scan_program(bits, cursor) == expected, (bits, cursor)
+        outcomes.add(expected if type(expected) is MalformedProgram else tuple)
+    assert outcomes == {
+        tuple,
+        MalformedProgram,
+        MalformedProgram("NoSeparator"),
+        MalformedProgram("BadChar"),
+        MalformedProgram("ParseFail"),
+    }
+
+
+def test_head_length_ends_where_the_scan_ends():
+    for length in range(17):
+        for value in range(1 << length):
+            bits = format(value, f"0{length}b") if length else ""
+            aligned = [i for i in range(0, length - 7, 8) if bits[i : i + 8] == "00000000"]
+            assert head_length(bits) == (aligned[0] + 8 if aligned else length), bits
+    checked = 0
+    samples = [(p.bits, 0) for p in enumerate_programs(22)]
+    samples.extend(_embedded_heads(1607, 20000))
+    for bits, cursor in samples:
+        scanned = scan_program(bits, cursor)
+        if type(scanned) is not MalformedProgram:
+            assert cursor + head_length(bits[cursor:]) == scanned[2], (bits, cursor)
+            checked += 1
+    assert checked > 15000
+
+
+def test_parse_memo_is_bounded():
+    maxsize = parse_program_cached.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+    for i in range(maxsize + 1000):
+        assert parse_program_cached(f"(a{i})") == (("a" + str(i),),)
+        assert parse_program_cached.cache_info().currsize <= maxsize
+    assert parse_program_cached.cache_info().currsize == maxsize
+    assert parse_program_cached("(") is None
+    assert parse_program_cached(" ") is None
 
 
 def _nested_run_agrees(bits: str) -> None:
@@ -207,6 +309,16 @@ def test_program_file_round_trip(tmp_path):
 def test_program_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.prog"
     path.write_text("not a header\nffff\n")
+    with pytest.raises(ValueError):
+        load_program(path)
+
+
+def test_negative_bit_length_is_rejected(tmp_path):
+    for hex_text in ("", "ff"):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            hex_to_bits(hex_text, -3)
+    path = tmp_path / "negative.prog"
+    path.write_text("bits: -3\n")
     with pytest.raises(ValueError):
         load_program(path)
 
