@@ -281,6 +281,18 @@ def _cmd_theory(ns) -> int:
     return 0
 
 
+def _at_least(minimum: int):
+    """argparse type for an integer count no smaller than minimum."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omegalab",
@@ -314,13 +326,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream decodable programs by size")
     p.add_argument("--max-bits", type=int, required=True)
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_at_least(0))
 
     p = sub.add_parser("census", help="create or resume a dovetail census")
-    p.add_argument("--stages", type=int, required=True)
+    p.add_argument("--stages", type=_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--resume")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--max-bits", type=int, default=24)
 
     p = sub.add_parser("omega", help="exact halting-probability lower bound")
@@ -328,8 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=None, help="expansion width")
     p.add_argument("--decide-bits", type=int, default=None,
                    help="also classify all programs up to this size")
-    p.add_argument("--stage-cap", type=int, default=64)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--stage-cap", type=_at_least(0), default=64)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
 
     p = sub.add_parser("complexity", help="upper-bound information content")
     p.add_argument("--of", required=True, help="expression file")

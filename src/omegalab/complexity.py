@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import sexpr
 # parseable_texts_upto is unused here; the benchmark tracer patches it by name.
 from .dovetail import Census, STATUS_HALTED_VALID, parseable_texts_upto
-from .evaluator import Halted, program_head
+from .evaluator import program_head
 from .machine import BinaryProgram, encode_program, run_program
 from .sexpr import QUOTE_ATOM, SExpr
 
@@ -24,6 +24,9 @@ from .sexpr import QUOTE_ATOM, SExpr
 PAIR_WRAPPER_TEXT = "(join (run-remaining) (join (run-remaining) ()))"
 # Wrapper that pairs one embedded program's value with itself.
 DUP_WRAPPER_TEXT = "((lambda (v) (join v (join v ()))) (run-remaining))"
+# Both texts are canonical, so their heads are the encoded wrappers.
+_PAIR_HEAD = program_head(PAIR_WRAPPER_TEXT)
+_DUP_HEAD = program_head(DUP_WRAPPER_TEXT)
 
 DEFAULT_SEARCH_BUDGET = 1 << 16
 
@@ -66,23 +69,10 @@ def _census_winner(census: Census | None, value_text: str) -> str | None:
     return best
 
 
-def _verify_witness(witness: BinaryProgram, value_text: str, budget: int) -> None:
-    result = run_program(witness, budget)
-    if not result.valid_halt:
-        raise InvalidWitness(f"witness does not halt validly: {witness.hex}")
-    assert isinstance(result.outcome, Halted)
-    if sexpr.print_canonical(result.outcome.value) != value_text:
-        raise InvalidWitness("witness value does not match the subject")
-
-
-def _halts_validly_with(
-    candidate: BinaryProgram, value_text: str, budget: int
-) -> bool:
-    result = run_program(candidate, budget)
-    return (
-        result.valid_halt
-        and sexpr.print_canonical(result.outcome.value) == value_text
-    )
+def _value_text(program: BinaryProgram, budget: int) -> str | None:
+    """Canonical text of the program's value if it halts validly, else None."""
+    result = run_program(program, budget)
+    return sexpr.print_canonical(result.outcome.value) if result.valid_halt else None
 
 
 def _estimate(
@@ -100,11 +90,16 @@ def _estimate(
     if found is not None and len(found) < len(witness.bits):
         witness = BinaryProgram(found)
     for candidate in constructed:
-        if len(candidate.bits) < len(witness.bits) and _halts_validly_with(
-            candidate, value_text, budget
+        if (
+            len(candidate.bits) < len(witness.bits)
+            and _value_text(candidate, budget) == value_text
         ):
             witness = candidate
-    _verify_witness(witness, value_text, budget)
+    witness_text = _value_text(witness, budget)
+    if witness_text is None:
+        raise InvalidWitness(f"witness does not halt validly: {witness.hex}")
+    if witness_text != value_text:
+        raise InvalidWitness("witness value does not match the subject")
     searched = census.enrolled_bits if census is not None else 0
     return ComplexityEstimate(subject, len(witness.bits), witness, searched, budget)
 
@@ -116,6 +111,18 @@ def h_upper(
 ) -> ComplexityEstimate:
     """Upper bound on the information content of x."""
     return _estimate(x, census, budget)
+
+
+def _joint(
+    x: SExpr, y: SExpr, census: Census | None, budget: int
+) -> tuple[ComplexityEstimate, ComplexityEstimate, ComplexityEstimate]:
+    """The plain bounds of x and y, then the bound of the pair (x y)."""
+    ex = h_upper(x, census, budget)
+    ey = h_upper(y, census, budget)
+    constructed = [BinaryProgram(_PAIR_HEAD + ex.witness.bits + ey.witness.bits)]
+    if x == y:
+        constructed.append(BinaryProgram(_DUP_HEAD + ex.witness.bits))
+    return ex, ey, _estimate((x, y), census, budget, tuple(constructed))
 
 
 def h_joint_upper(
@@ -131,16 +138,7 @@ def h_joint_upper(
     is never forced to cost more than a constant over computing them
     separately), and for x == y so is the duplicating wrapper.
     """
-    wx = h_upper(x, census, budget).witness
-    wy = h_upper(y, census, budget).witness
-    constructed = [
-        encode_program(sexpr.parse(PAIR_WRAPPER_TEXT), wx.bits + wy.bits)
-    ]
-    if x == y:
-        constructed.append(
-            encode_program(sexpr.parse(DUP_WRAPPER_TEXT), wx.bits)
-        )
-    return _estimate((x, y), census, budget, tuple(constructed))
+    return _joint(x, y, census, budget)[2]
 
 
 def mutual_info_estimate(
@@ -153,17 +151,16 @@ def mutual_info_estimate(
 
     This identity over the three reported bounds holds by construction; it
     says how much the search gained by computing the objects together.
+    The plain bounds are the ones the joint query computed.
     """
-    hx = h_upper(x, census, budget).bound_bits
-    hy = h_upper(y, census, budget).bound_bits
-    hxy = h_joint_upper(x, y, census, budget).bound_bits
-    return hx + hy - hxy
+    ex, ey, exy = _joint(x, y, census, budget)
+    return ex.bound_bits + ey.bound_bits - exy.bound_bits
 
 
 def pair_overhead_bits() -> int:
     """Exact encoded size of the pairing wrapper, a constant of this
     machine's encoding."""
-    return len(program_head(PAIR_WRAPPER_TEXT))
+    return len(_PAIR_HEAD)
 
 
 def pair_programs(
@@ -179,8 +176,7 @@ def pair_programs(
     for witness in (p, q):
         if not run_program(witness, budget).valid_halt:
             raise InvalidWitness(f"not a validly halting program: {witness.hex}")
-    wrapper = sexpr.parse(PAIR_WRAPPER_TEXT)
-    return encode_program(wrapper, p.bits + q.bits)
+    return BinaryProgram(_PAIR_HEAD + p.bits + q.bits)
 
 
 def h_relative_upper(
@@ -198,11 +194,10 @@ def h_relative_upper(
     wy before it spends the 10 characters of (read-bit), and the relay
     (run-remaining) only reproduces wy's value at 128 bits more than wy.
     """
-    wy_run = run_program(wy, budget)
-    if not wy_run.valid_halt:
+    given = _value_text(wy, budget)
+    if given is None:
         raise InvalidWitness(f"not a validly halting program: {wy.hex}")
     plain = _estimate(x, census, budget)
-    given = sexpr.print_canonical(wy_run.outcome.value)
     if given == sexpr.print_canonical(x) and len(wy.bits) <= plain.bound_bits:
         return ComplexityEstimate(
             x, len(wy.bits), wy, plain.search_exhausted_to, budget

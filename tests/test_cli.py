@@ -104,6 +104,8 @@ def test_enumerate_lists_hex_and_sizes(capsys):
     assert code == 0
     assert report["count"] == 5
     assert report["programs"][0] == "2100 16"
+    code, report, _ = run_json(capsys, "enumerate", "--max-bits", "16", "--limit", "0")
+    assert (code, report["count"]) == (0, 0)
 
 
 def test_census_omega_and_decide_flow(capsys, tmp_path):
@@ -255,11 +257,23 @@ def test_every_run_prints_machine_tag(capsys):
         assert MACHINE_VERSION in out
 
 
-def test_usage_error_exits_two(capsys):
-    for argv in (["parse", "--no-such-flag"], ["--seed", "1", "parse", "--expr", "a"]):
+def test_usage_error_exits_two(capsys, tmp_path):
+    out = str(tmp_path / "x.census")
+    for argv in (
+        ["parse", "--no-such-flag"],
+        ["--seed", "1", "parse", "--expr", "a"],
+        ["census", "--stages", "-2", "--out", out, "--max-bits", "17"],
+        ["census", "--stages", "1", "--out", out, "--max-bits", "17", "--jobs", "-3"],
+        ["census", "--stages", "1", "--out", out, "--max-bits", "17", "--jobs", "0"],
+        ["omega", "--census", out, "--jobs", "0"],
+        ["omega", "--census", out, "--stage-cap", "-1"],
+        ["enumerate", "--max-bits", "17", "--limit", "-1"],
+        ["census", "--stages", "x", "--out", out],
+    ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+    assert not (tmp_path / "x.census").exists()
 
 
 def test_missing_input_is_domain_error(capsys):

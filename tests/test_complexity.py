@@ -24,7 +24,7 @@ from omegalab.complexity import (
     randomness_report,
 )
 from omegalab.dovetail import advance, new_census, parseable_texts_upto
-from omegalab.evaluator import Halted
+from omegalab.evaluator import Halted, program_head
 from omegalab.machine import encode_text, run_program
 from omegalab.sexpr import parse_one, print_canonical
 
@@ -134,6 +134,12 @@ def test_pair_programs_halts_with_joint_value():
 
 def test_pair_overhead_is_the_wrapper_size():
     assert pair_overhead_bits() == 8 * len(PAIR_WRAPPER_TEXT) + 8 == 392
+    # The pairing heads are built from the texts as written, which is what
+    # encode_program produces only because the texts are canonical.
+    for text in (PAIR_WRAPPER_TEXT, DUP_WRAPPER_TEXT):
+        assert encode_text(text, "01").bits == program_head(text) + "01"
+    p, q = encode_text("(' a)"), encode_text("(' b)")
+    assert pair_programs(p, q) == encode_text(PAIR_WRAPPER_TEXT, p.bits + q.bits)
 
 
 def test_pair_programs_constant_difference_fuzzed(desk_census):
@@ -195,6 +201,44 @@ def test_mutual_info_small_for_independent_atoms(desk_census):
     # two unrelated atoms: the pairing witness shows near-zero sharing
     gain = mutual_info_estimate("qqq", "zzz", desk_census)
     assert abs(gain) <= pair_overhead_bits()
+
+
+def test_joint_queries_compute_each_bound_once(desk_census, monkeypatch):
+    import omegalab.complexity as complexity
+
+    calls = {"scan": 0, "run": 0, "parse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(complexity, "_census_winner",
+                        counted("scan", complexity._census_winner))
+    monkeypatch.setattr(complexity, "run_program",
+                        counted("run", complexity.run_program))
+    pairs = [(parse_one(tx), parse_one(ty))
+             for tx, ty in (("a", "()"), ("(q r)", "(s t)"), ("(q r)", "(q r)"))]
+    for x, y in pairs:  # hit, miss, self pair
+        for key in calls:
+            calls[key] = 0
+        mutual_info_estimate(x, y, desk_census)
+        assert (calls["scan"], calls["run"]) == (3, 3)
+
+    # Runs decode through the parse memo, so query once to fill it; after
+    # that no pair or joint query parses anything, the wrappers included.
+    p, q = literal_witness("a"), literal_witness("b")
+    for x, y in pairs:
+        h_joint_upper(x, y, desk_census)
+    pair_programs(p, q)
+    monkeypatch.setattr(complexity.sexpr, "parse",
+                        counted("parse", complexity.sexpr.parse))
+    for x, y in pairs:
+        h_joint_upper(x, y, desk_census)
+    pair_programs(p, q)
+    assert calls["parse"] == 0
 
 
 def test_h_relative_same_value_within_relay_overhead(desk_census):
