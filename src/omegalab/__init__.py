@@ -16,13 +16,11 @@ from .sexpr import (
 from .evaluator import (
     AbortOverrun,
     BitTape,
-    CapExceeded,
     Halted,
     MalformedProgram,
     Outcome,
     OutOfTime,
     evaluate,
-    step_budget_probe,
 )
 from .machine import (
     BinaryProgram,

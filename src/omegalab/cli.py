@@ -3,7 +3,7 @@
 One subcommand per library operation, reproducible output: text mode leads
 with a ``# machine:`` tag line, JSON mode is stable-keyed so identical
 inputs give byte-identical output.  Exit codes: 0 success, 1 domain error
-(malformed programs, exceeded caps, bad files), 2 usage error.
+(malformed programs, bad files), 2 usage error.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _cmd_eval(ns) -> int:
             text = fh.read() + "\n"
     text += _read_text(ns.expr, ns.file, "expr")
     program = sexpr.parse(text)
-    tape_bits = ns.tape
+    tape_bits = ns.tape or ""
     if ns.tape_file:
         with open(ns.tape_file, "r", encoding="ascii") as fh:
             tape_bits = fh.read().strip()
@@ -164,7 +164,7 @@ def _cmd_census(ns) -> int:
     if ns.resume:
         census = dovetail.load_census(_census_path(ns.resume))
     else:
-        census = dovetail.new_census(ns.max_bits)
+        census = dovetail.new_census(24 if ns.max_bits is None else ns.max_bits)
     dovetail.advance(census, ns.stages, jobs=ns.jobs)
     dovetail.save_census(census, _census_path(ns.out))
     statuses = {}
@@ -195,9 +195,7 @@ def _cmd_omega(ns) -> int:
     }
     if ns.decide_bits is not None:
         target = bound.truncate(ns.decide_bits)
-        decision = dovetail.decide_halting_via_omega(
-            target, ns.decide_bits, census, stage_cap=ns.stage_cap, jobs=ns.jobs
-        )
+        decision = dovetail.decide_halting_via_omega(target, ns.decide_bits, census)
         report["decide"] = {
             "n_bits": decision.n_bits,
             "target": str(decision.target),
@@ -300,28 +298,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each mutually exclusive group holds options that would override each
+    # other.  They take no parser default, because argparse does not count a
+    # given value that is the default as given.
+
+    def text_source(p):
+        g = p.add_mutually_exclusive_group()
+        g.add_argument("--expr")
+        g.add_argument("--file")
 
     p = sub.add_parser("parse", help="parse and canonically print expressions")
-    p.add_argument("--expr")
-    p.add_argument("--file")
+    text_source(p)
 
     p = sub.add_parser("eval", help="evaluate a program against a tape")
-    p.add_argument("--expr")
-    p.add_argument("--file")
+    text_source(p)
     p.add_argument("--prelude", help="file of define forms loaded first")
-    p.add_argument("--tape", default="")
-    p.add_argument("--tape-file", help="read the tape bits from a file")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--tape", help="inline 0/1 string (default: empty)")
+    g.add_argument("--tape-file", help="read the tape bits from a file")
     p.add_argument("--budget", type=int, default=machine.DEFAULT_BUDGET)
 
     p = sub.add_parser("encode", help="pack program text and data bits")
-    p.add_argument("--expr")
-    p.add_argument("--file")
+    text_source(p)
     p.add_argument("--data", default="")
     p.add_argument("--out", help="write the program file here")
 
     p = sub.add_parser("run", help="decode and run a binary program")
-    p.add_argument("--program", help="program file (bits: N header + hex)")
-    p.add_argument("--bits", help="inline 0/1 string")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--program", help="program file (bits: N header + hex)")
+    g.add_argument("--bits", help="inline 0/1 string")
     p.add_argument("--budget", type=int, default=machine.DEFAULT_BUDGET)
 
     p = sub.add_parser("enumerate", help="stream decodable programs by size")
@@ -331,22 +336,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="create or resume a dovetail census")
     p.add_argument("--stages", type=_at_least(0), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--resume")
     p.add_argument("--jobs", type=_at_least(1), default=1)
-    p.add_argument("--max-bits", type=int, default=24)
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--resume", help="census file to continue")
+    g.add_argument("--max-bits", type=int, help="corpus bound (default: 24)")
 
     p = sub.add_parser("omega", help="exact halting-probability lower bound")
     p.add_argument("--census", required=True)
     p.add_argument("--bits", type=int, default=None, help="expansion width")
     p.add_argument("--decide-bits", type=int, default=None,
                    help="also classify all programs up to this size")
-    p.add_argument("--stage-cap", type=_at_least(0), default=64)
-    p.add_argument("--jobs", type=_at_least(1), default=1)
 
     p = sub.add_parser("complexity", help="upper-bound information content")
     p.add_argument("--of", required=True, help="expression file")
-    p.add_argument("--joint", help="second expression file for a pair query")
-    p.add_argument("--given", help="witness program file for a relative query")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--joint", help="second expression file for a pair query")
+    g.add_argument("--given", help="witness program file for a relative query")
     p.add_argument("--census")
     p.add_argument("--budget", type=int, default=complexity.DEFAULT_SEARCH_BUDGET)
 
@@ -379,7 +384,6 @@ _DOMAIN_EXCEPTIONS = (
     sexpr.SExprError,
     dovetail.VersionMismatch,
     dovetail.CorruptFile,
-    dovetail.StageCapExceeded,
     complexity.NotABitString,
     complexity.InvalidWitness,
     _DomainError,

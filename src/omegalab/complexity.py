@@ -83,23 +83,26 @@ def _estimate(
 ) -> ComplexityEstimate:
     """Smallest known witness: the census search, the always-available
     literal, and any explicitly constructed candidates (which are only
-    admitted after a verifying run)."""
+    admitted after a verifying run, and that run stands as the witness's
+    verification)."""
     value_text = sexpr.print_canonical(subject)
     witness = literal_witness(subject)
     found = _census_winner(census, value_text)
     if found is not None and len(found) < len(witness.bits):
         witness = BinaryProgram(found)
+    admitted = False
     for candidate in constructed:
         if (
             len(candidate.bits) < len(witness.bits)
             and _value_text(candidate, budget) == value_text
         ):
-            witness = candidate
-    witness_text = _value_text(witness, budget)
-    if witness_text is None:
-        raise InvalidWitness(f"witness does not halt validly: {witness.hex}")
-    if witness_text != value_text:
-        raise InvalidWitness("witness value does not match the subject")
+            witness, admitted = candidate, True
+    if not admitted:
+        witness_text = _value_text(witness, budget)
+        if witness_text is None:
+            raise InvalidWitness(f"witness does not halt validly: {witness.hex}")
+        if witness_text != value_text:
+            raise InvalidWitness("witness value does not match the subject")
     searched = census.enrolled_bits if census is not None else 0
     return ComplexityEstimate(subject, len(witness.bits), witness, searched, budget)
 
@@ -118,9 +121,9 @@ def _joint(
 ) -> tuple[ComplexityEstimate, ComplexityEstimate, ComplexityEstimate]:
     """The plain bounds of x and y, then the bound of the pair (x y)."""
     ex = h_upper(x, census, budget)
-    ey = h_upper(y, census, budget)
+    ey = ex if x == y else h_upper(y, census, budget)
     constructed = [BinaryProgram(_PAIR_HEAD + ex.witness.bits + ey.witness.bits)]
-    if x == y:
+    if ey is ex:
         constructed.append(BinaryProgram(_DUP_HEAD + ex.witness.bits))
     return ex, ey, _estimate((x, y), census, budget, tuple(constructed))
 

@@ -302,7 +302,6 @@ def decide_halting_via_omega(
     n_bits: int,
     census: Census,
     stage_cap: int = 64,
-    jobs: int = 1,
 ) -> HaltingDecision:
     """Dovetail until the census bound reaches omega_prefix, then classify
     every program of at most n_bits bits.
@@ -322,7 +321,7 @@ def decide_halting_via_omega(
     while bound < omega_prefix:
         if census.stage >= stage_cap:
             raise StageCapExceeded(stage_cap)
-        advance(census, 1, jobs)
+        advance(census, 1)
         bound = omega_lower_bound(census)
     halting = []
     rest = []

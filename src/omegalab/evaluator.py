@@ -39,9 +39,6 @@ from .sexpr import (
     parse_program_cached,
 )
 
-DEFAULT_PROBE_CAP = 2**22
-
-
 @dataclass(frozen=True, slots=True)
 class BitTape:
     """An immutable 0/1 string plus the index of the next unread bit."""
@@ -54,10 +51,6 @@ class BitTape:
             raise ValueError("tape bits must be a string over 0/1")
         if not 0 <= self.cursor <= len(self.bits):
             raise ValueError("tape cursor out of range")
-
-    @property
-    def remaining(self) -> int:
-        return len(self.bits) - self.cursor
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,14 +144,6 @@ def scan_program(
     if exprs is None:
         return _MALFORMED_PARSE_FAIL
     return exprs, text, at + 8
-
-
-class CapExceeded(Exception):
-    """step_budget_probe gave up: no halt within the configured cap."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"no halt within budget cap {cap}")
-        self.cap = cap
 
 
 class Env:
@@ -530,19 +515,3 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
         final = render_value(final)
     return Halted(final, cursor - start, steps, tuple(emitted))
 
-
-def step_budget_probe(
-    program: Iterable[SExpr], tape: BitTape, cap: int = DEFAULT_PROBE_CAP
-) -> int:
-    """Smallest power-of-two budget at which the program halts.
-
-    Doubles from 1; the returned budget b halts while b // 2 did not (or b
-    is the initial budget).  Raises CapExceeded past the cap.
-    """
-    program = tuple(program)
-    b = 1
-    while b <= cap:
-        if isinstance(evaluate(program, tape, b), Halted):
-            return b
-        b *= 2
-    raise CapExceeded(cap)

@@ -132,10 +132,6 @@ class RunResult:
     data_length: int
 
     @property
-    def halted(self) -> bool:
-        return isinstance(self.outcome, Halted)
-
-    @property
     def valid_halt(self) -> bool:
         """Halted and consumed every raw data bit."""
         return (

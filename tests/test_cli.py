@@ -1,11 +1,13 @@
 """Command-line surface: flags, exit codes, stable output."""
 
+import argparse
 import json
 
 import pytest
 
 from conftest import IN_SET_TEXT
-from omegalab.cli import main
+from omegalab import dovetail
+from omegalab.cli import _build_parser, main
 from omegalab.machine import MACHINE_VERSION, encode_text, save_program
 
 
@@ -150,6 +152,56 @@ def test_omega_negative_width_is_domain_error(capsys, tmp_path):
     assert err.startswith("error ValueError")
 
 
+def test_omega_decide_never_advances(capsys, tmp_path, monkeypatch):
+    """omega --decide-bits classifies against the loaded census's own
+    truncated bound, which that census already reaches, so it never
+    dovetails further; this is why omega takes no stage cap or jobs count."""
+    paths = []
+    for stages in (0, 2, 5):
+        path = str(tmp_path / f"s{stages}.census")
+        code, _, _ = run_cli(
+            capsys, "census", "--stages", str(stages), "--out", path,
+            "--max-bits", "18",
+        )
+        assert code == 0
+        paths.append(path)
+
+    def no_advance(*args, **kwargs):
+        raise AssertionError("omega --decide-bits advanced the census")
+
+    monkeypatch.setattr(dovetail, "advance", no_advance)
+    for path in paths:
+        for n in (0, 16, 17, 18):
+            code, _, err = run_cli(capsys, "omega", "--census", path,
+                                   "--decide-bits", str(n))
+            assert (code, err) == (0, "")
+
+
+def test_option_surface_is_pinned():
+    """Adding or removing a knob must edit this table on purpose."""
+    expected = {
+        "parse": ["--expr", "--file"],
+        "eval": ["--expr", "--file", "--prelude", "--tape", "--tape-file",
+                 "--budget"],
+        "encode": ["--expr", "--file", "--data", "--out"],
+        "run": ["--program", "--bits", "--budget"],
+        "enumerate": ["--max-bits", "--limit"],
+        "census": ["--stages", "--out", "--jobs", "--resume", "--max-bits"],
+        "omega": ["--census", "--bits", "--decide-bits"],
+        "complexity": ["--of", "--joint", "--given", "--census", "--budget"],
+        "diag": ["--count", "--budget"],
+        "theory": ["--program", "--budget", "--omega-claims"],
+    }
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [flag for action in p._actions for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"]
+        for name, p in sub.choices.items()
+    }
+    assert surface == expected
+
+
 def test_census_jobs_flag_changes_nothing(capsys, tmp_path):
     a = tmp_path / "a.census"
     b = tmp_path / "b.census"
@@ -265,10 +317,18 @@ def test_usage_error_exits_two(capsys, tmp_path):
         ["census", "--stages", "-2", "--out", out, "--max-bits", "17"],
         ["census", "--stages", "1", "--out", out, "--max-bits", "17", "--jobs", "-3"],
         ["census", "--stages", "1", "--out", out, "--max-bits", "17", "--jobs", "0"],
-        ["omega", "--census", out, "--jobs", "0"],
-        ["omega", "--census", out, "--stage-cap", "-1"],
+        ["omega", "--census", out, "--jobs", "2"],
+        ["omega", "--census", out, "--stage-cap", "8"],
         ["enumerate", "--max-bits", "17", "--limit", "-1"],
         ["census", "--stages", "x", "--out", out],
+        # Pairs of options of which one would silently override the other.
+        ["census", "--stages", "1", "--out", out, "--resume", out, "--max-bits", "24"],
+        ["complexity", "--of", "x.sexpr", "--joint", "y.sexpr", "--given", "w.prog"],
+        ["run", "--program", "p.prog", "--bits", "0101"],
+        ["parse", "--expr", "a", "--file", "a.sexpr"],
+        ["eval", "--expr", "a", "--file", "a.sexpr"],
+        ["encode", "--expr", "a", "--file", "a.sexpr"],
+        ["eval", "--expr", "(read-bit)", "--tape", "", "--tape-file", "t.bits"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

@@ -221,11 +221,21 @@ def test_joint_queries_compute_each_bound_once(desk_census, monkeypatch):
                         counted("run", complexity.run_program))
     pairs = [(parse_one(tx), parse_one(ty))
              for tx, ty in (("a", "()"), ("(q r)", "(s t)"), ("(q r)", "(q r)"))]
-    for x, y in pairs:  # hit, miss, self pair
+    # hit, miss, self pair (which reuses its one plain bound)
+    for (x, y), expected in zip(pairs, ((3, 3), (3, 3), (2, 2))):
         for key in calls:
             calls[key] = 0
         mutual_info_estimate(x, y, desk_census)
-        assert (calls["scan"], calls["run"]) == (3, 3)
+        assert (calls["scan"], calls["run"]) == expected
+
+    # An admitted constructed candidate is run once: the duplicating wrapper
+    # wins for a long list, and its admitting run is its verification.
+    x = tuple("abcdefghijklmnopqrstuvwxyz")
+    calls["run"] = 0
+    est = h_joint_upper(x, x)
+    assert est.witness.bits.startswith(program_head(DUP_WRAPPER_TEXT))
+    assert calls["run"] == 2
+    rerun_witness(est)
 
     # Runs decode through the parse memo, so query once to fill it; after
     # that no pair or joint query parses anything, the wrappers included.

@@ -8,12 +8,10 @@ from conftest import DIVERGER_TEXT, IN_SET_TEXT, bit_strings
 from omegalab.evaluator import (
     AbortOverrun,
     BitTape,
-    CapExceeded,
     Halted,
     MalformedProgram,
     OutOfTime,
     evaluate,
-    step_budget_probe,
 )
 from omegalab.machine import encode_text
 from omegalab.sexpr import parse
@@ -297,31 +295,6 @@ def test_tape_extension_preserves_halts():
     assert isinstance(short, Halted) and isinstance(longer, Halted)
     assert short.value == longer.value
     assert short.bits_consumed == longer.bits_consumed == 1
-
-
-def test_probe_quote_golden():
-    assert step_budget_probe(parse("(' a)"), BitTape()) == 1
-
-
-def test_probe_read_bit_golden():
-    program = parse("(read-bit)")
-    assert step_budget_probe(program, BitTape("1")) == 1
-    out = evaluate(program, BitTape("1"), 1)
-    assert isinstance(out, Halted) and out.value == "1"
-
-
-def test_probe_cap_exceeded_on_diverger():
-    with pytest.raises(CapExceeded) as err:
-        step_budget_probe(parse(DIVERGER_TEXT), BitTape(), cap=1000)
-    assert err.value.cap == 1000
-
-
-def test_probe_halts_at_reported_budget_not_below():
-    program = parse(IN_SET_TEXT + "(in-set? (' z) (' (x y z)))")
-    b = step_budget_probe(program, BitTape())
-    assert isinstance(evaluate(program, BitTape(), b), Halted)
-    if b > 1:
-        assert not isinstance(evaluate(program, BitTape(), b // 2), Halted)
 
 
 @given(bit_strings, st.integers(min_value=1, max_value=64))
