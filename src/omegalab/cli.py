@@ -224,9 +224,10 @@ def _cmd_complexity(ns) -> int:
     if ns.joint:
         with open(ns.joint, "r", encoding="ascii") as fh:
             y = sexpr.parse_one(fh.read())
-        est = complexity.h_joint_upper(x, y, census, ns.budget)
+        ex, ey, est = complexity._joint(x, y, census, ns.budget)
         report = {"kind": "joint", **_estimate_fields(est)}
-        report["mutual_info"] = complexity.mutual_info_estimate(x, y, census, ns.budget)
+        # mutual_info_estimate's identity over the bounds already computed
+        report["mutual_info"] = ex.bound_bits + ey.bound_bits - est.bound_bits
     elif ns.given:
         wy = machine.load_program(ns.given)
         est = complexity.h_relative_upper(x, wy, census, ns.budget)
@@ -234,7 +235,7 @@ def _cmd_complexity(ns) -> int:
     else:
         est = complexity.h_upper(x, census, ns.budget)
         report = {"kind": "plain", **_estimate_fields(est)}
-    report["subject"] = sexpr.print_canonical(x)
+    report["subject"] = sexpr.print_canonical(est.subject)
     _emit(report, ns.format)
     return 0
 

@@ -4,8 +4,9 @@ True program-size complexity is uncomputable, so everything here is an
 explicit upper bound carried by a witness program: the smallest program
 found (in the searched range) that halts validly with the requested value.
 A literal quoting witness always exists, so every query returns a bound.
-Searches reuse the dovetailer's census, which already maps enumerated
-programs to their halting values.
+The census search is one lookup: the census indexes its validly halting
+programs by value text once per state (stage and record count), keeping
+the shortest program for each value.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from . import sexpr
 # parseable_texts_upto is unused here; the benchmark tracer patches it by name.
-from .dovetail import Census, STATUS_HALTED_VALID, parseable_texts_upto
+from .dovetail import Census, parseable_texts_upto
 from .evaluator import program_head
 from .machine import BinaryProgram, encode_program, run_program
 from .sexpr import QUOTE_ATOM, SExpr
@@ -57,16 +58,9 @@ def literal_witness(x: SExpr) -> BinaryProgram:
 
 def _census_winner(census: Census | None, value_text: str) -> str | None:
     """Smallest enumerated program recorded as halting validly with the
-    value; census insertion order is enumeration order, so the first hit
-    wins ties."""
-    if census is None:
-        return None
-    best = None
-    for record in census.records.values():
-        if record.status == STATUS_HALTED_VALID and record.value_text == value_text:
-            if best is None or len(record.bits) < len(best):
-                best = record.bits
-    return best
+    value, looked up in the census's value index (first in enumeration
+    order on a tie); None without a census."""
+    return None if census is None else census.winner(value_text)
 
 
 def _value_text(program: BinaryProgram, budget: int) -> str | None:

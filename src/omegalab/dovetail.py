@@ -96,18 +96,55 @@ class Record:
 
 @dataclass(slots=True)
 class Census:
-    """Persistent map from enumerated programs to their run records."""
+    """Persistent map from enumerated programs to their run records.
+
+    ``winner`` answers from an index of value texts memoised in
+    ``value_index`` and keyed on ``(stage, len(records))``; a lookup under a
+    new key rebuilds it.  So every writer must change the stage or the
+    record count: ``advance`` raises the stage, ``load_census`` builds a new
+    census and enrolling a record grows the count.  Rewriting a record in
+    place changes neither and leaves the index stale.  The memo takes no
+    part in equality or repr and is never saved.
+    """
 
     version: str
     config_digest: str
     max_bits: int
     stage: int = 0
     records: dict[str, Record] = field(default_factory=dict)
+    value_index: tuple[tuple[int, int], dict[str, str]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def enrolled_bits(self) -> int:
         """Largest program size already entered into the schedule."""
         return min(MIN_PROGRAM_BITS + self.stage, self.max_bits) if self.stage else 0
+
+    def winner(self, value_text: str) -> str | None:
+        """Bits of the shortest program recorded as halting validly with the
+        value, or None; ties go to the earliest record."""
+        key = (self.stage, len(self.records))
+        if self.value_index is None or self.value_index[0] != key:
+            self.value_index = (key, _value_index(self.records))
+        return self.value_index[1].get(value_text)
+
+
+def _value_index(records: dict[str, Record]) -> dict[str, str]:
+    """Map each value text to its first shortest halted-valid record's bits.
+
+    Only a strictly shorter record replaces an entry, so among equal lengths
+    the first in insertion order wins: enumeration order for any census
+    that advance built.  halted-invalid records carry a value text too and
+    are left out.
+    """
+    index: dict[str, str] = {}
+    for record in records.values():
+        if record.status == STATUS_HALTED_VALID:
+            best = index.get(record.value_text)
+            if best is None or len(record.bits) < len(best):
+                index[record.value_text] = record.bits
+    return index
 
 
 def new_census(max_bits: int) -> Census:

@@ -263,6 +263,52 @@ def test_complexity_report(capsys, tmp_path):
     assert report["bound_bits"] <= 48
 
 
+def test_complexity_witness_reruns_to_the_reported_subject(
+    capsys, tmp_path, monkeypatch
+):
+    from omegalab import complexity
+    from omegalab.machine import BinaryProgram, hex_to_bits, run_program
+    from omegalab.sexpr import print_canonical
+
+    census_path = tmp_path / "c.census"
+    dovetail.save_census(dovetail.advance(dovetail.new_census(20), 6), census_path)
+    subject, other, witness = (tmp_path / name for name in ("x", "y", "w"))
+    subject.write_text("(q r)\n")
+    other.write_text("abc\n")
+    save_program(witness, encode_text("(' (q r))"))
+    calls = {"lookups": 0, "runs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(complexity, "_census_winner",
+                        counted("lookups", complexity._census_winner))
+    monkeypatch.setattr(complexity, "run_program",
+                        counted("runs", complexity.run_program))
+    base = ["complexity", "--of", str(subject), "--census", str(census_path)]
+    for extra, kind, subject_text in (
+        ([], "plain", "(q r)"),
+        (["--joint", str(other)], "joint", "((q r) abc)"),
+        (["--given", str(witness)], "relative", "(q r)"),
+    ):
+        for key in calls:
+            calls[key] = 0
+        code, report, _ = run_json(capsys, *base, *extra)
+        assert code == 0
+        assert (report["kind"], report["subject"]) == (kind, subject_text)
+        bits = hex_to_bits(report["witness_hex"], report["witness_bits"])
+        result = run_program(BinaryProgram(bits), report["budget"])
+        assert result.valid_halt
+        assert print_canonical(result.outcome.value) == subject_text
+        if kind == "joint":
+            # one joint computation: two plain bounds and the pair's
+            assert (calls["lookups"], calls["runs"]) == (3, 3)
+
+
 def test_diag_reports_rows(capsys):
     code, report, _ = run_json(capsys, "diag", "--count", "20", "--budget", "4096")
     assert code == 0

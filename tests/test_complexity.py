@@ -1,6 +1,8 @@
 """Upper-bound estimators and the constructive pairing constant."""
 
+import copy
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,19 @@ from omegalab.complexity import (
     pair_programs,
     randomness_report,
 )
-from omegalab.dovetail import advance, new_census, parseable_texts_upto
+from omegalab import dovetail
+from omegalab.complexity import _census_winner
+from omegalab.dovetail import (
+    STATUS_HALTED_INVALID,
+    STATUS_HALTED_VALID,
+    STATUS_UNKNOWN,
+    Record,
+    advance,
+    load_census,
+    new_census,
+    parseable_texts_upto,
+    save_census,
+)
 from omegalab.evaluator import Halted, program_head
 from omegalab.machine import encode_text, run_program
 from omegalab.sexpr import parse_one, print_canonical
@@ -249,6 +263,140 @@ def test_joint_queries_compute_each_bound_once(desk_census, monkeypatch):
         h_joint_upper(x, y, desk_census)
     pair_programs(p, q)
     assert calls["parse"] == 0
+
+
+def scan_winner(records, value_text):
+    """Reference for the value index: the linear scan it replaced.  The
+    first strictly shortest halted-valid record with the value wins."""
+    best = None
+    for record in records:
+        if record.status == STATUS_HALTED_VALID and record.value_text == value_text:
+            if best is None or len(record.bits) < len(best):
+                best = record.bits
+    return best
+
+
+def assert_winners_match_the_scan(census):
+    # A record whose value text differs never matches in the scan, so
+    # scanning each text's own records (in census order) is the full scan.
+    by_text = defaultdict(list)
+    for record in census.records.values():
+        if record.value_text is not None:
+            by_text[record.value_text].append(record)
+    for text, records in by_text.items():
+        assert _census_winner(census, text) == scan_winner(records, text), text
+    return by_text
+
+
+def test_census_winner_matches_the_scan(desk_census):
+    rng = random.Random(909)
+    by_text = assert_winners_match_the_scan(desk_census)
+    assert len(by_text) > 8000
+    misses = ["".join(rng.choices("pqrstuvw", k=rng.randint(3, 8))) + "0"
+              for _ in range(50)]
+    misses += ["(" + " ".join(rng.sample(sorted(by_text), 3)) + ")"
+               for _ in range(50)]
+    misses = [text for text in misses if text not in by_text]
+    assert len(misses) > 90
+    for text in misses:
+        assert _census_winner(desk_census, text) is None
+        assert scan_winner(desk_census.records.values(), text) is None
+    assert _census_winner(None, "a") is None
+
+
+def test_census_winner_ties_and_statuses():
+    census = new_census(24)
+    enrolled = [
+        # Equal lengths enrolled against enumeration order: the first wins.
+        ("1" * 20, STATUS_HALTED_VALID, "v"),
+        ("0" * 20, STATUS_HALTED_VALID, "v"),
+        ("0" * 22, STATUS_HALTED_VALID, "v"),
+        # Shorter, with the same value text, but not a valid halt.
+        ("01" * 8, STATUS_HALTED_INVALID, "v"),
+        ("10" * 8, STATUS_UNKNOWN, "v"),
+        # Equal lengths in enumeration order: the first still wins.
+        ("0" * 18, STATUS_HALTED_VALID, "w"),
+        ("1" * 18, STATUS_HALTED_VALID, "w"),
+        ("0" * 17, STATUS_HALTED_INVALID, "x"),  # only an invalid halt
+        ("1" * 24, STATUS_HALTED_VALID, "u"),  # a later, shorter record wins
+        ("1" * 21, STATUS_HALTED_VALID, "u"),
+    ]
+    for bits, status, text in enrolled:
+        census.records[bits] = Record(bits, status, 1, text)
+    assert_winners_match_the_scan(census)
+    assert [_census_winner(census, t) for t in ("v", "w", "x", "u", "y")] == [
+        "1" * 20, "0" * 18, None, "1" * 21, None
+    ]
+
+
+def test_census_winner_follows_the_census(desk_census):
+    texts = sorted({r.value_text for r in desk_census.records.values()
+                    if r.status == STATUS_HALTED_VALID})
+    census = new_census(24)
+    found = {text: _census_winner(census, text) for text in texts}
+    assert set(found.values()) == {None}
+    first_found_late = 0
+    for stage in range(10):
+        advance(census, 1)
+        assert_winners_match_the_scan(census)
+        for text in texts:
+            winner = _census_winner(census, text)
+            if found[text] is None and winner is not None and stage > 0:
+                first_found_late += 1
+            found[text] = winner
+    assert first_found_late > 0  # the two-character texts, at stage 8
+    assert census == desk_census
+
+    # A copy answers like the original, memo and all.
+    twin = copy.deepcopy(census)
+    for text in texts + ["(no such value)"]:
+        assert _census_winner(twin, text) == _census_winner(census, text)
+
+    # A shorter valid program enrolled by hand after a query wins the next.
+    census = new_census(24)
+    assert h_upper("a", census).bound_bits == 48  # the literal
+    program = encode_text("a")
+    census.records[program.bits] = Record(program.bits, STATUS_HALTED_VALID, 1, "a")
+    est = h_upper("a", census)
+    assert (est.bound_bits, est.witness) == (16, program)
+    rerun_witness(est)
+
+
+def test_queries_leave_no_trace_in_the_census(tmp_path):
+    path, again = tmp_path / "c.census", tmp_path / "again.census"
+    census = advance(new_census(20), 6)
+    save_census(census, path)
+    before = repr(census)
+    for record in list(census.records.values())[::7]:
+        if record.value_text is not None:
+            h_upper(parse_one(record.value_text), census)
+    assert census.value_index is not None
+    assert census == load_census(path)
+    assert repr(census) == before
+    save_census(census, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_value_index_is_built_once_per_census_state(monkeypatch):
+    builds = []
+    build = dovetail._value_index
+
+    def counted(records):
+        builds.append(len(records))
+        return build(records)
+
+    monkeypatch.setattr(dovetail, "_value_index", counted)
+    census = advance(new_census(20), 4)
+    texts = sorted({r.value_text for r in census.records.values()
+                    if r.status == STATUS_HALTED_VALID})
+    subjects = [parse_one(text) for text in texts[:90]] + ["zz", ("q", "r")]
+    for i in range(100):
+        h_upper(subjects[i % len(subjects)], census)
+    assert len(builds) == 1
+    advance(census, 1)
+    for i in range(100):
+        h_upper(subjects[i % len(subjects)], census)
+    assert len(builds) == 2
 
 
 def test_h_relative_same_value_within_relay_overhead(desk_census):
