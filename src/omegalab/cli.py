@@ -299,6 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _at_least(1)
     # Each mutually exclusive group holds options that would override each
     # other.  They take no parser default, because argparse does not count a
     # given value that is the default as given.
@@ -317,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--tape", help="inline 0/1 string (default: empty)")
     g.add_argument("--tape-file", help="read the tape bits from a file")
-    p.add_argument("--budget", type=int, default=machine.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=positive, default=machine.DEFAULT_BUDGET)
 
     p = sub.add_parser("encode", help="pack program text and data bits")
     text_source(p)
@@ -328,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--program", help="program file (bits: N header + hex)")
     g.add_argument("--bits", help="inline 0/1 string")
-    p.add_argument("--budget", type=int, default=machine.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=positive, default=machine.DEFAULT_BUDGET)
 
     p = sub.add_parser("enumerate", help="stream decodable programs by size")
     p.add_argument("--max-bits", type=int, required=True)
@@ -337,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="create or resume a dovetail census")
     p.add_argument("--stages", type=_at_least(0), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=_at_least(1), default=1)
+    p.add_argument("--jobs", type=positive, default=1)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--resume", help="census file to continue")
     g.add_argument("--max-bits", type=int, help="corpus bound (default: 24)")
@@ -354,15 +355,15 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--joint", help="second expression file for a pair query")
     g.add_argument("--given", help="witness program file for a relative query")
     p.add_argument("--census")
-    p.add_argument("--budget", type=int, default=complexity.DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=positive, default=complexity.DEFAULT_SEARCH_BUDGET)
 
     p = sub.add_parser("diag", help="diagonal digits against enumerated programs")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--count", type=positive, required=True)
+    p.add_argument("--budget", type=positive, required=True)
 
     p = sub.add_parser("theory", help="run a statement-generator program")
     p.add_argument("--program", required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=positive, required=True)
     p.add_argument("--omega-claims", action="store_true")
 
     return parser

@@ -13,11 +13,12 @@ Dovetail schedule: at stage t every program of at most ``16 + t`` bits
 Every program therefore eventually receives an unbounded budget.
 
 A run depends on its data only through the bits it reads, so a stage runs
-each program text once per read path rather than once per bit string:
-first with no data, then one bit longer only while the run aborts before
-the end of some record's data.  Every extension of a path inherits the
-outcome of the run that decided it (the halting-prefix pruning of Calude,
-Dinneen and Shu, "Computing a glimpse of randomness", 2002).
+each pending head (text and separator) once per read path, not each bit
+string: first with no data, then one bit longer only while the run aborts
+before the end of some record's data.  Every extension of a path inherits
+the outcome of the run that decided it (the halting-prefix pruning of
+Calude, Dinneen and Shu, "Computing a glimpse of randomness", 2002).
+Undecided records stay pending under their heads, and ``jobs`` spreads heads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -37,9 +38,9 @@ from .evaluator import (
     AbortOverrun,
     Halted,
     MalformedProgram,
-    head_length,
     max_text_chars,
     program_head,
+    scan_program,
 )
 from .machine import (
     MACHINE_VERSION,
@@ -174,33 +175,35 @@ def parseable_texts_upto(max_chars: int) -> tuple[str, ...]:
     return tuple(sorted(pool))
 
 
-def enumerate_programs(
+def _heads_and_data(
     max_bits: int, min_bits: int = MIN_PROGRAM_BITS
-) -> Iterator[BinaryProgram]:
-    """Every decodable program of min_bits..max_bits bits, exactly once,
-    shorter first and lexicographic within a length.
+) -> Iterator[tuple[str, str]]:
+    """``enumerate_programs`` from min_bits up, split into (head, data).
 
     Decodable bit strings are exactly text-bytes + separator + free data
     bits, so the stream is generated from the cached parseable-text pool
     rather than by trying every bit string.
     """
     for length in range(max(min_bits, MIN_PROGRAM_BITS), max_bits + 1):
-        # Every data string of each length, formatted once per program length.
+        # Every data string of each length, built once per program length.
         data_suffixes: dict[int, list[str]] = {}
         for text in parseable_texts_upto(max_text_chars(length)):
             head = program_head(text)
             data_len = length - len(head)
-            if data_len < 0:
-                continue
             suffixes = data_suffixes.get(data_len)
             if suffixes is None:
-                suffixes = data_suffixes[data_len] = (
-                    [format(value, f"0{data_len}b") for value in range(1 << data_len)]
-                    if data_len
-                    else [""]
-                )
+                suffixes = data_suffixes[data_len] = [
+                    "".join(bits) for bits in itertools.product("01", repeat=data_len)
+                ]
             for data in suffixes:
-                yield BinaryProgram(head + data)
+                yield head, data
+
+
+def enumerate_programs(max_bits: int) -> Iterator[BinaryProgram]:
+    """Every decodable program of at most max_bits bits, exactly once,
+    shorter first and lexicographic within a length."""
+    for head, data in _heads_and_data(max_bits):
+        yield BinaryProgram(head + data)
 
 
 # --- the dovetail ---------------------------------------------------------
@@ -269,42 +272,46 @@ def advance(
 ) -> Census:
     """Run the next ``stages`` dovetail stages, updating the census in place.
 
-    Pending records are grouped by head, and the groups may be spread over
-    one pool of ``jobs`` processes that serves every stage; the result is
-    byte-identical either way because each record's fields depend only on
-    its own bits and the stage's budget, and statuses, once decided, are
-    final.
+    Undecided records are kept by head for the whole call, and the heads
+    may be spread over one pool of ``jobs`` processes that serves every
+    stage; the result is byte-identical either way because each record's
+    fields depend only on its own bits and the stage's budget, and
+    statuses, once decided, are final.
     """
     _check_version(census.version, census.config_digest)
+    pending: dict[str, list[Record]] = {}
+    for record in census.records.values():
+        if record.status == STATUS_UNKNOWN:
+            scanned = scan_program(record.bits, 0)
+            end = None if type(scanned) is MalformedProgram else scanned[2]
+            pending.setdefault(record.bits[:end], []).append(record)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for _ in range(stages):
             t = census.stage + 1
             size_cap = min(MIN_PROGRAM_BITS + t, census.max_bits)
-            budget = 2**t
-            prev_cap = census.enrolled_bits
-            if size_cap > prev_cap:
-                for program in enumerate_programs(size_cap, prev_cap + 1):
-                    census.records[program.bits] = Record(program.bits)
-            groups: dict[str, list[Record]] = {}
-            for record in census.records.values():
-                if record.status == STATUS_UNKNOWN:
-                    bits = record.bits
-                    groups.setdefault(bits[: head_length(bits)], []).append(record)
+            for head, data in _heads_and_data(size_cap, census.enrolled_bits + 1):
+                bits = head + data  # one string, shared by the key and the record
+                record = census.records[bits] = Record(bits)
+                pending.setdefault(head, []).append(record)
             work = [
-                (head, tuple(r.bits[len(head) :] for r in group), budget)
-                for head, group in groups.items()
+                (head, tuple(r.bits[len(head) :] for r in group), 2**t)
+                for head, group in pending.items()
             ]
             if pool is None:
                 results = map(_decide_head, work)
             else:
                 chunk = max(1, len(work) // (jobs * 8))
                 results = pool.map(_decide_head, work, chunksize=chunk)
-            for group, decided in zip(groups.values(), results):
+            undecided: dict[str, list[Record]] = {}
+            for (head, group), decided in zip(pending.items(), results):
                 for record, (status, steps, value_text) in zip(group, decided):
                     record.status = status
                     record.steps = steps
                     record.value_text = value_text
+                    if status == STATUS_UNKNOWN:
+                        undecided.setdefault(head, []).append(record)
             census.stage = t
+            pending = undecided
     return census
 
 
@@ -362,12 +369,12 @@ def decide_halting_via_omega(
         bound = omega_lower_bound(census)
     halting = []
     rest = []
-    for program in enumerate_programs(n_bits):
-        record = census.records.get(program.bits)
+    for head, data in _heads_and_data(n_bits):
+        record = census.records.get(head + data)
         if record is not None and record.status == STATUS_HALTED_VALID:
-            halting.append(program.bits)
+            halting.append(head + data)
         else:
-            rest.append(program.bits)
+            rest.append(head + data)
     return HaltingDecision(
         n_bits, omega_prefix, census.stage, bound, tuple(halting), tuple(rest)
     )
@@ -379,20 +386,25 @@ def decide_halting_via_omega(
 def save_census(census: Census, path) -> None:
     """Write the census as a line-oriented, diffable text file."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(f"{_CENSUS_MAGIC}\n")
-        fh.write(f"version {census.version}\n")
-        fh.write(f"config {census.config_digest}\n")
-        fh.write(f"max-bits {census.max_bits}\n")
-        fh.write(f"stage {census.stage}\n")
-        fh.write(f"records {len(census.records)}\n")
-        for record in census.records.values():
-            value = record.value_text if record.value_text is not None else "-"
-            fh.write(
-                f"{bits_to_hex(record.bits)} {len(record.bits)} "
-                f"{record.status} {record.steps} {value}\n"
-            )
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(f"{_CENSUS_MAGIC}\n")
+            fh.write(f"version {census.version}\n")
+            fh.write(f"config {census.config_digest}\n")
+            fh.write(f"max-bits {census.max_bits}\n")
+            fh.write(f"stage {census.stage}\n")
+            fh.write(f"records {len(census.records)}\n")
+            for record in census.records.values():
+                value = record.value_text if record.value_text is not None else "-"
+                fh.write(
+                    f"{bits_to_hex(record.bits)} {len(record.bits)} "
+                    f"{record.status} {record.steps} {value}\n"
+                )
+        os.replace(tmp, path)
+    finally:
+        # Gone already after a successful replace; left by a failed write.
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 _STATUSES = {

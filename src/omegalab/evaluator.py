@@ -99,24 +99,6 @@ def program_head(text: str) -> str:
     return "".join(f"{ord(c):08b}" for c in text) + "00000000"
 
 
-def _separator_at(bits: str, cursor: int) -> int:
-    """Index of the first separator byte aligned with cursor, or -1."""
-    at = bits.find("00000000", cursor)
-    while at >= 0 and (at - cursor) % 8:
-        at = bits.find("00000000", at + 1)
-    return at
-
-
-def head_length(bits: str) -> int:
-    """Length of the head of a bit string: its bits through the first
-    byte-aligned separator, or the whole string when it has none.
-
-    Decoding never looks past the head, so every bit after it is tape data.
-    """
-    at = _separator_at(bits, 0)
-    return at + 8 if at >= 0 else len(bits)
-
-
 def max_text_chars(n_bits: int) -> int:
     """Length of the longest program text whose head fits in n_bits."""
     return n_bits // 8 - 1
@@ -133,7 +115,9 @@ def scan_program(
     separator, a byte outside the text alphabet, a text that does not parse
     to at least one expression.
     """
-    at = _separator_at(bits, cursor)
+    at = bits.find("00000000", cursor)
+    while at >= 0 and (at - cursor) % 8:
+        at = bits.find("00000000", at + 1)
     if at < 0:
         return _MALFORMED_NO_SEPARATOR
     n = (at - cursor) // 8

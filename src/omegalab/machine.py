@@ -141,7 +141,9 @@ class RunResult:
 
 
 def run_program(program: BinaryProgram, budget: int = DEFAULT_BUDGET) -> RunResult:
-    """Decode and run one binary program under a step budget."""
+    """Decode and run one binary program under a step budget of at least 1."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     decoded = decode_program(program)
     if isinstance(decoded, MalformedProgram):
         return RunResult(decoded, 0)

@@ -375,6 +375,14 @@ def test_usage_error_exits_two(capsys, tmp_path):
         ["eval", "--expr", "a", "--file", "a.sexpr"],
         ["encode", "--expr", "a", "--file", "a.sexpr"],
         ["eval", "--expr", "(read-bit)", "--tape", "", "--tape-file", "t.bits"],
+        # Budgets and counts below 1.
+        ["eval", "--expr", "a", "--budget", "0"],
+        ["run", "--bits", "0", "--budget", "0"],
+        ["run", "--bits", "0", "--budget", "-1"],
+        ["complexity", "--of", "x.sexpr", "--budget", "0"],
+        ["diag", "--count", "4", "--budget", "0"],
+        ["diag", "--count", "0", "--budget", "64"],
+        ["theory", "--program", "p.prog", "--budget", "0"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

@@ -79,8 +79,16 @@ def test_enumerate_yields_decodable_programs_in_size_then_lex_order():
 
 def test_enumerate_min_bits_window():
     full = [p.bits for p in enumerate_programs(18)]
-    window = [p.bits for p in enumerate_programs(18, min_bits=17)]
+    window = [head + data for head, data in dovetail._heads_and_data(18, 17)]
     assert window == [b for b in full if len(b) >= 17]
+
+
+def test_enumeration_splits_each_program_where_the_decoder_does():
+    pairs = list(dovetail._heads_and_data(22))
+    assert len(pairs) == 11557
+    for head, data in pairs:
+        assert decode_program(head + data).data == data, (head, data)
+    assert list(enumerate_programs(22)) == [BinaryProgram(h + d) for h, d in pairs]
 
 
 def test_census_requires_room_for_one_program():
@@ -312,6 +320,19 @@ def test_save_load_round_trip_mixed_statuses(tmp_path):
     assert load_census(path) == census
 
 
+def test_failed_save_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "t2.census"
+    census = new_census(24)
+    save_census(census, path)
+    before = path.read_bytes()
+    bits = program_head("(' a)")
+    census.records[bits] = Record(bits, STATUS_HALTED_VALID, 1, "\u00e9")
+    with pytest.raises(UnicodeEncodeError):
+        save_census(census, path)
+    assert list(tmp_path.glob("*.tmp.*")) == []
+    assert path.read_bytes() == before
+
+
 def test_load_rejects_truncated_file(tmp_path, desk_census):
     path = tmp_path / "t.census"
     save_census(desk_census, path)
@@ -516,14 +537,18 @@ def test_read_paths_match_whole_string_runs(jobs, stages):
     }
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_read_paths_out_of_time_across_stages(jobs):
+def _out_of_time_census():
     bits = [
         program_head(text) + data
         for text in (COUNTDOWN_TEXT, DIVERGER_TEXT)
         for data in _all_data(3)
     ]
-    census = _hand_enrolled(24, bits)
+    return _hand_enrolled(24, bits)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_read_paths_out_of_time_across_stages(jobs):
+    census = _out_of_time_census()
     expected = copy.deepcopy(census)
     for stage in range(3):
         advance(census, 1, jobs=jobs)
@@ -531,6 +556,17 @@ def test_read_paths_out_of_time_across_stages(jobs):
         assert census == expected
         counts = Counter(r.status for r in census.records.values())
         if stage == 0:
-            assert counts == {STATUS_UNKNOWN: len(bits)}
+            assert counts == {STATUS_UNKNOWN: len(census.records)}
         else:
             assert counts[STATUS_HALTED_VALID] == 2  # the countdown, one data bit
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_read_paths_out_of_time_carried_within_one_call(jobs, tmp_path):
+    census = _out_of_time_census()
+    expected = _reference_advance(copy.deepcopy(census), 3)
+    assert advance(copy.deepcopy(census), 3, jobs=jobs) == expected
+    # A saved census carries its undecided records into the next call.
+    path = tmp_path / "c.census"
+    save_census(advance(census, 1, jobs=jobs), path)
+    assert advance(load_census(path), 2, jobs=jobs) == expected

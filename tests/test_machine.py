@@ -10,7 +10,6 @@ from omegalab.evaluator import (
     AbortOverrun,
     Halted,
     MalformedProgram,
-    head_length,
     program_head,
     scan_program,
 )
@@ -160,23 +159,6 @@ def test_scan_program_matches_a_per_byte_reference():
     }
 
 
-def test_head_length_ends_where_the_scan_ends():
-    for length in range(17):
-        for value in range(1 << length):
-            bits = format(value, f"0{length}b") if length else ""
-            aligned = [i for i in range(0, length - 7, 8) if bits[i : i + 8] == "00000000"]
-            assert head_length(bits) == (aligned[0] + 8 if aligned else length), bits
-    checked = 0
-    samples = [(p.bits, 0) for p in enumerate_programs(22)]
-    samples.extend(_embedded_heads(1607, 20000))
-    for bits, cursor in samples:
-        scanned = scan_program(bits, cursor)
-        if type(scanned) is not MalformedProgram:
-            assert cursor + head_length(bits[cursor:]) == scanned[2], (bits, cursor)
-            checked += 1
-    assert checked > 15000
-
-
 def test_parse_memo_is_bounded():
     maxsize = parse_program_cached.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
@@ -256,6 +238,13 @@ def test_run_malformed_program():
     result = run_program(BinaryProgram("1" * 24), 100)
     assert result.outcome == MalformedProgram("NoSeparator")
     assert not result.valid_halt
+
+
+def test_run_rejects_budget_below_one_before_decoding():
+    for program in (BinaryProgram("0"), encode_text("(' a)")):
+        for budget in (0, -3):
+            with pytest.raises(ValueError):
+                run_program(program, budget)
 
 
 def test_hex_round_trip():
