@@ -195,7 +195,9 @@ def _cmd_omega(ns) -> int:
     }
     if ns.decide_bits is not None:
         target = bound.truncate(ns.decide_bits)
-        decision = dovetail.decide_halting_via_omega(target, ns.decide_bits, census)
+        decision = dovetail.decide_halting_via_omega(
+            target, ns.decide_bits, census, bound=bound
+        )
         report["decide"] = {
             "n_bits": decision.n_bits,
             "target": str(decision.target),

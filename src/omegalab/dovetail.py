@@ -45,6 +45,7 @@ from .evaluator import (
 from .machine import (
     MACHINE_VERSION,
     BinaryProgram,
+    _checked_program,
     bits_to_hex,
     config_hash,
     hex_to_bits,
@@ -203,7 +204,7 @@ def enumerate_programs(max_bits: int) -> Iterator[BinaryProgram]:
     """Every decodable program of at most max_bits bits, exactly once,
     shorter first and lexicographic within a length."""
     for head, data in _heads_and_data(max_bits):
-        yield BinaryProgram(head + data)
+        yield _checked_program(head + data)
 
 
 # --- the dovetail ---------------------------------------------------------
@@ -229,7 +230,7 @@ def _decide_head(
         """(status, steps, value text, data bits read; None on an abort)."""
         fields = runs.get(bits)
         if fields is None:
-            out = run_program(BinaryProgram(bits), budget).outcome
+            out = run_program(_checked_program(bits), budget).outcome
             if isinstance(out, Halted):
                 value_text = sexpr.print_canonical(out.value)
                 fields = (STATUS_HALTED_VALID, out.steps, value_text, out.bits_consumed)
@@ -346,6 +347,7 @@ def decide_halting_via_omega(
     n_bits: int,
     census: Census,
     stage_cap: int = 64,
+    bound: DyadicRational | None = None,
 ) -> HaltingDecision:
     """Dovetail until the census bound reaches omega_prefix, then classify
     every program of at most n_bits bits.
@@ -357,11 +359,15 @@ def decide_halting_via_omega(
     when the prefix matches the first n_bits of the true halting
     probability, and every program already halted is always labeled
     correctly.
+
+    A caller that has already summed ``omega_lower_bound(census)`` passes
+    it as ``bound`` so that the sum is not made again.
     """
     _check_version(census.version, census.config_digest)
     if n_bits > census.max_bits:
         raise ValueError("n_bits exceeds the census corpus bound")
-    bound = omega_lower_bound(census)
+    if bound is None:
+        bound = omega_lower_bound(census)
     while bound < omega_prefix:
         if census.stage >= stage_cap:
             raise StageCapExceeded(stage_cap)

@@ -53,6 +53,21 @@ class BitTape:
             raise ValueError("tape cursor out of range")
 
 
+# Slot setters that build a frozen value without its constructor.
+_new = object.__new__
+_set_tape_bits = BitTape.bits.__set__
+_set_tape_cursor = BitTape.cursor.__set__
+
+
+def _checked_tape(bits: str) -> BitTape:
+    """A tape at cursor 0 over bits already known to be a 0/1 string,
+    built without the constructor's checks."""
+    tape = _new(BitTape)
+    _set_tape_bits(tape, bits)
+    _set_tape_cursor(tape, 0)
+    return tape
+
+
 @dataclass(frozen=True, slots=True)
 class Halted:
     value: SExpr
@@ -95,8 +110,15 @@ _MALFORMED_PARSE_FAIL = MalformedProgram(PARSE_FAIL)
 
 def program_head(text: str) -> str:
     """The bits of a program text in the binary format: 8 bits per
-    character, then the separator byte."""
-    return "".join(f"{ord(c):08b}" for c in text) + "00000000"
+    character, then the separator byte.
+
+    A character wider than one byte raises UnicodeEncodeError, a
+    ValueError.
+    """
+    # One integer conversion for the whole text.  The leading 0x01 byte
+    # keeps the text's leading zero bits; its "0b1" is cut off.
+    raw = b"\x01" + text.encode("latin-1") + b"\x00"
+    return bin(int.from_bytes(raw, "big"))[3:]
 
 
 def max_text_chars(n_bits: int) -> int:
@@ -312,10 +334,12 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
     # Set once a closure is joined into a list, the only way one gets
     # there; until then no list needs rendering.
     listed_closure = False
-    genv = Env({}, None)
     vals: list = []
-    work: list = []
-    _push_sequence(work, program, genv)
+    if len(program) == 1:
+        work = [(_EV, program[0], Env({}, None))]
+    else:
+        work = []
+        _push_sequence(work, program, Env({}, None))
 
     while work:
         task = work.pop()

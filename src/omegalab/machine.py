@@ -19,10 +19,10 @@ from typing import Iterable, Sequence, Union
 
 from . import sexpr
 from .evaluator import (
-    BitTape,
     Halted,
     MalformedProgram,
     Outcome,
+    _checked_tape,
     evaluate,
     program_head,
     scan_program,
@@ -83,6 +83,18 @@ class BinaryProgram:
         return cls(hex_to_bits(hex_text, bit_length))
 
 
+_new = object.__new__
+_set_program_bits = BinaryProgram.bits.__set__
+
+
+def _checked_program(bits: str) -> BinaryProgram:
+    """A program over bits already known to be a 0/1 string, built without
+    the constructor's check."""
+    program = _new(BinaryProgram)
+    _set_program_bits(program, bits)
+    return program
+
+
 @dataclass(frozen=True, slots=True)
 class DecodedProgram:
     prefix: tuple[SExpr, ...]
@@ -98,7 +110,7 @@ def encode_program(prefix: Sequence[SExpr], data: str = "") -> BinaryProgram:
         raise ValueError("prefix must contain at least one expression")
     if data.strip("01"):
         raise ValueError("data must be a string over 0/1")
-    return BinaryProgram(program_head(sexpr.print_program(prefix)) + data)
+    return _checked_program(program_head(sexpr.print_program(prefix)) + data)
 
 
 def encode_text(text: str, data: str = "") -> BinaryProgram:
@@ -145,10 +157,10 @@ def run_program(program: BinaryProgram, budget: int = DEFAULT_BUDGET) -> RunResu
     if budget < 1:
         raise ValueError("budget must be >= 1")
     decoded = decode_program(program)
-    if isinstance(decoded, MalformedProgram):
+    if type(decoded) is MalformedProgram:
         return RunResult(decoded, 0)
-    outcome = evaluate(decoded.prefix, BitTape(decoded.data), budget)
-    return RunResult(outcome, len(decoded.data))
+    data = decoded.data
+    return RunResult(evaluate(decoded.prefix, _checked_tape(data), budget), len(data))
 
 
 def save_program(path, program: BinaryProgram) -> None:

@@ -155,6 +155,31 @@ def _check_atom(name: str) -> None:
 
 
 _CLOSE = object()
+_STR_TYPE = frozenset({str})
+# Every character of atoms joined by single spaces.
+_JOINED_ATOM_CHARS = ATOM_CHARS | {" ", QUOTE_ATOM}
+
+
+def _atoms_text(node: tuple) -> Optional[str]:
+    """The items of a nonempty list joined by single spaces when every item
+    is a printable atom, else None.
+
+    Every check runs in C over the whole list.  Given items of type str,
+    the joined text has only atom characters, spaces and quote marks, its
+    spaces are the separators, its quote marks are quote atoms, and no item
+    is empty, exactly when each item passes ``_check_atom``.
+    """
+    if not _STR_TYPE.issuperset(map(type, node)):
+        return None
+    text = " ".join(node)
+    if (
+        _JOINED_ATOM_CHARS.issuperset(text)
+        and text.count(" ") == len(node) - 1
+        and text.count(QUOTE_ATOM) == node.count(QUOTE_ATOM)
+        and "" not in node
+    ):
+        return text
+    return None
 
 
 def print_canonical(x: SExpr) -> str:
@@ -162,6 +187,10 @@ def print_canonical(x: SExpr) -> str:
 
     Single spaces between siblings, no other whitespace.  The output is the
     interchange format: parse(print_canonical(x)) == (x,).
+
+    A list of atoms is printed whole.  Any other list, or one holding a bad
+    atom, is walked item by item, so the first bad node in print order
+    raises.
     """
     parts: list[str] = []
     stack: list[tuple] = [(x, False)]
@@ -176,6 +205,10 @@ def print_canonical(x: SExpr) -> str:
             _check_atom(node)
             parts.append(node)
         elif type(node) is tuple:
+            text = _atoms_text(node) if node else None
+            if text is not None:
+                parts.append("(" + text + ")")
+                continue
             parts.append("(")
             stack.append((_CLOSE, False))
             for i in range(len(node) - 1, -1, -1):

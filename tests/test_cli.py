@@ -177,6 +177,47 @@ def test_omega_decide_never_advances(capsys, tmp_path, monkeypatch):
             assert (code, err) == (0, "")
 
 
+OMEGA_DECIDE_20_6_TEXT = """\
+# machine: omegalab-machine-1
+fraction: 91/2^16
+binary: 0.0000000001011011000000000000000000000000000000000000000000000000
+stage: 6
+max_bits: 20
+decide: {'n_bits': 20, 'target': '91/2^16', 'stop_stage': 6, 'halting': 91, \
+'not_halting_relative': 2730}
+"""
+OMEGA_DECIDE_20_6_JSON = (
+    '{"binary": "0.0000000001011011000000000000000000000000000000000000000000000000",'
+    ' "decide": {"halting": 91, "n_bits": 20, "not_halting_relative": 2730,'
+    ' "stop_stage": 6, "target": "91/2^16"}, "fraction": "91/2^16",'
+    ' "machine": "omegalab-machine-1", "max_bits": 20, "stage": 6}\n'
+)
+
+
+def test_omega_decide_sums_the_bound_once(capsys, tmp_path, monkeypatch):
+    """omega --decide-bits hands its bound to the classifier instead of
+    summing the unchanged census twice; the report does not change."""
+    path = str(tmp_path / "c.census")
+    code, _, _ = run_cli(capsys, "census", "--stages", "6", "--out", path,
+                         "--max-bits", "20")
+    assert code == 0
+    calls = []
+    omega_lower_bound = dovetail.omega_lower_bound
+
+    def counted(census):
+        calls.append(census.stage)
+        return omega_lower_bound(census)
+
+    monkeypatch.setattr(dovetail, "omega_lower_bound", counted)
+    for fmt, expected in (("text", OMEGA_DECIDE_20_6_TEXT),
+                          ("json", OMEGA_DECIDE_20_6_JSON)):
+        calls.clear()
+        code, out, err = run_cli(capsys, "--format", fmt, "omega", "--census",
+                                 path, "--bits", "64", "--decide-bits", "20")
+        assert (code, out, err) == (0, expected, "")
+        assert calls == [6]
+
+
 def test_option_surface_is_pinned():
     """Adding or removing a knob must edit this table on purpose."""
     expected = {

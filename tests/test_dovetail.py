@@ -280,6 +280,7 @@ def test_decide_rejects_oversized_window():
 GOLDEN_CENSUS_SHA256 = {
     (20, 6): "181141b9d78a1d51ec233b50f1b7fb31eafeaeafef95f4b5f4db40b1f3ddb331",
     (24, 10): "338453c2b368f9814669f8c9ac709a372d68a5b825c72f55920282f19152656d",
+    (26, 12): "0592b013d1b6b5ec4b276f09091905502835f0b960704906abd061263d9f2408",
 }
 
 
@@ -289,6 +290,15 @@ def test_census_file_bytes_are_pinned(tmp_path):
     save_census(census, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CENSUS_SHA256[20, 6]
     assert omega_lower_bound(census) == DyadicRational(Fraction(91, 2**16))
+
+
+def test_census_26_12_bytes_are_pinned(tmp_path):
+    """The largest pinned census: every head of at most two characters with
+    its data extensions to 26 bits, run through the whole run path."""
+    census = advance(new_census(26), 12, jobs=1)
+    path = tmp_path / "26-12.census"
+    save_census(census, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CENSUS_SHA256[26, 12]
 
 
 def test_save_load_round_trip(tmp_path, desk_census):

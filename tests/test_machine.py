@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import reference_format
 from conftest import bit_strings, sexprs
 from omegalab.evaluator import (
     AbortOverrun,
@@ -157,6 +158,26 @@ def test_scan_program_matches_a_per_byte_reference():
         MalformedProgram("BadChar"),
         MalformedProgram("ParseFail"),
     }
+
+
+def test_program_head_matches_per_character_reference():
+    assert len(TEXT_CHARS) == 98
+    texts = ["", "\x00", "\x01", "\x00a", "\xff", *sorted(TEXT_CHARS)]
+    alphabet = sorted(TEXT_CHARS)
+    rng = random.Random(1107)
+    for length in (1, 2, 3, 8, 100, 1000, 16_000, 16_384):
+        texts.append("".join(rng.choice(alphabet) for _ in range(length)))
+        texts.append("".join(chr(rng.randrange(256)) for _ in range(length)))
+    for text in texts:
+        head = program_head(text)
+        assert head == reference_format.program_head(text), text[:20]
+        assert len(head) == 8 * len(text) + 8
+
+
+@pytest.mark.parametrize("text", [chr(256), "a" + chr(0x2603), "(' " + chr(0x10FFFF) + ")"])
+def test_program_head_rejects_characters_wider_than_a_byte(text):
+    with pytest.raises(ValueError):
+        program_head(text)
 
 
 def test_parse_memo_is_bounded():

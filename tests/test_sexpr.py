@@ -1,10 +1,15 @@
 """Reader and canonical printer."""
 
+import random
+
 import pytest
 from hypothesis import given
 
-from conftest import IN_SET_TEXT, sexprs
+import reference_format
+from conftest import ATOM_ALPHABET, IN_SET_TEXT, random_sexpr, sexprs
+from omegalab.evaluator import Closure, Env
 from omegalab.sexpr import (
+    QUOTE_ATOM,
     DanglingQuote,
     IllegalCharacter,
     UnbalancedParens,
@@ -134,3 +139,80 @@ def test_quote_forms_round_trip():
     for text in ["(' y)", "'x", "(a (' b))", "(' (' x))", "(' ())"]:
         canonical = print_program(parse(text))
         assert parse(canonical) == parse(text)
+
+
+def _printed(printer, x):
+    """The printed text, or the type and message of the exception."""
+    try:
+        return printer(x)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _nested(depth, leaf):
+    x = leaf
+    for i in range(depth):
+        x = (x,) if i % 2 else ("n", x)
+    return x
+
+
+def _print_corpus(rng):
+    yield ()
+    yield QUOTE_ATOM
+    yield (QUOTE_ATOM, "x")
+    yield (QUOTE_ATOM, ("a", QUOTE_ATOM, "b"))
+    yield ("a", QUOTE_ATOM, "b", QUOTE_ATOM)
+    yield ((), "a", ((),))
+    for _ in range(300):
+        yield random_sexpr(rng, rng.randrange(1, 6))
+    for n in (1, 2, 3, 10, 1000, 100_000):
+        atoms = [
+            "".join(rng.choice(ATOM_ALPHABET) for _ in range(rng.randrange(1, 5)))
+            for _ in range(n)
+        ]
+        for i in rng.sample(range(n), min(n, 3)):
+            atoms[i] = QUOTE_ATOM
+        yield tuple(atoms)
+    yield _nested(200_000, ("x", "y"))
+    yield _nested(200_000, ())
+
+
+def test_print_canonical_matches_per_node_reference():
+    rng = random.Random(1106)
+    for x in _print_corpus(rng):
+        assert print_canonical(x) == reference_format.print_canonical(x)
+
+
+@given(sexprs)
+def test_print_canonical_matches_reference_on_generated_values(x):
+    assert print_canonical(x) == reference_format.print_canonical(x)
+
+
+def test_print_canonical_errors_match_per_node_reference():
+    """The first bad node in print order raises, with the same type and
+    message, whether it sits in a list of atoms or deeper."""
+    closure = Closure(("p",), "p", Env({}, None))
+    bad_nodes = ["", "a b", " ", "a(", "(", ")", "a'b", "'x", "x'", "''",
+                 "\t", "\u00e9", 7, closure]
+    cases = []
+    for bad in bad_nodes:
+        cases += [
+            bad,
+            (bad,),
+            ("a", bad),
+            (bad, "b", "c"),
+            ("a", ("b", bad), "c"),
+            (("a", bad), bad),
+            (QUOTE_ATOM, bad),
+            ("a", "", bad),
+            ("a", bad, 7),
+            ("a", 7, bad),
+            _nested(1000, ("x", bad)),
+        ]
+    failures = set()
+    for x in cases:
+        expected = _printed(reference_format.print_canonical, x)
+        assert _printed(print_canonical, x) == expected, x
+        if type(expected) is tuple:
+            failures.add(expected[0])
+    assert failures == {TypeError, ValueError}
