@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sexpr
-# parseable_texts_upto is unused here; the benchmark tracer patches it by name.
+# parseable_texts_upto and encode_program are unused here; the benchmark
+# tracer patches them by name.
 from .dovetail import Census, parseable_texts_upto
 from .evaluator import program_head
-from .machine import BinaryProgram, encode_program, run_program
-from .sexpr import QUOTE_ATOM, SExpr
+from .machine import BinaryProgram, _checked_program, encode_program, run_program
+from .sexpr import SExpr
 
 # Wrapper whose two nested runs consume two self-delimiting programs laid
 # end to end in the data and join their values into a pair.
@@ -53,7 +54,13 @@ class ComplexityEstimate:
 
 def literal_witness(x: SExpr) -> BinaryProgram:
     """The always-available bound: quote the value, no data bits."""
-    return encode_program(((QUOTE_ATOM, x),))
+    return _literal_of(sexpr.print_canonical(x))
+
+
+def _literal_of(value_text: str) -> BinaryProgram:
+    """The literal witness of the value printed as value_text: the program
+    (' x), whose canonical text is "(' " + value_text + ")"."""
+    return _checked_program(program_head("(' " + value_text + ")"))
 
 
 def _census_winner(census: Census | None, value_text: str) -> str | None:
@@ -80,7 +87,7 @@ def _estimate(
     admitted after a verifying run, and that run stands as the witness's
     verification)."""
     value_text = sexpr.print_canonical(subject)
-    witness = literal_witness(subject)
+    witness = _literal_of(value_text)
     found = _census_winner(census, value_text)
     if found is not None and len(found) < len(witness.bits):
         witness = BinaryProgram(found)

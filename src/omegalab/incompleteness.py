@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
 
-from . import sexpr
-from .evaluator import AbortOverrun, Halted, MalformedProgram, OutOfTime
+from . import machine, sexpr
+from .evaluator import AbortOverrun, BitTape, Halted, MalformedProgram, OutOfTime
 from .machine import BinaryProgram, encode_program, run_program
 from .dovetail import parseable_texts_of_length
 from .sexpr import QUOTE_ATOM, SExpr
@@ -51,19 +51,40 @@ def unary(m: int) -> tuple:
     return ("1",) * m
 
 
+_EMPTY_TAPE = BitTape()
+
+
 def digit_output_of(expr: SExpr, m: int, budget: int) -> int | None:
     """Digit produced by applying one program to position m (in unary).
 
     The digit is the head of the halted value when that head is a single
     0-9 atom; anything else -- no halt in budget, an invalid halt, or a
-    non-digit value -- is no output.
+    non-digit value -- is no output.  The run is that of the encoded
+    program ((expr (' unary(m)))) with no data bits, and an expression
+    with no canonical text raises as encoding it would.
     """
-    program = encode_program(((expr, (QUOTE_ATOM, unary(m))),))
-    result = run_program(program, budget)
-    if not result.valid_halt:
+    program = ((expr, (QUOTE_ATOM, unary(m))),)
+    return _digit_output(program, sexpr.print_canonical(expr), budget)
+
+
+def _digit_output(program: tuple, expr_text: str, budget: int) -> int | None:
+    """digit_output_of for the program ((expr (' unary(m)))), given the
+    canonical text of expr."""
+    if " '" in expr_text:
+        # A quote atom after the head of a list prints as a quote mark,
+        # which reads back as quote sugar: the machine decodes another
+        # program, or none, from this text.  Run what it decodes.
+        result = run_program(encode_program(program), budget)
+        outcome = result.outcome if result.valid_halt else None
+    else:
+        # The text reads back as this program, so evaluating it on the
+        # empty tape is the encoded run, and with no data bits every halt
+        # is a valid halt.  machine.evaluate is the name the benchmark
+        # tracer wraps.
+        outcome = machine.evaluate(program, _EMPTY_TAPE, budget)
+    if type(outcome) is not Halted:
         return None
-    assert isinstance(result.outcome, Halted)
-    value = result.outcome.value
+    value = outcome.value
     head = value[0] if type(value) is tuple and value else value
     if type(head) is str and len(head) == 1 and head in DIGITS:
         return int(head)
@@ -106,15 +127,9 @@ def diagonal_table(n_rows: int, budget: int) -> DiagonalTable:
     gen = digit_programs()
     for n in range(1, n_rows + 1):
         expr = next(gen)
-        produced = digit_output_of(expr, n, budget)
-        rows.append(
-            DiagonalRow(
-                n,
-                sexpr.print_canonical(expr),
-                produced,
-                2 if produced == 3 else 3,
-            )
-        )
+        text = sexpr.print_canonical(expr)
+        produced = _digit_output(((expr, (QUOTE_ATOM, unary(n))),), text, budget)
+        rows.append(DiagonalRow(n, text, produced, 2 if produced == 3 else 3))
     return DiagonalTable(budget, tuple(rows))
 
 
@@ -157,15 +172,9 @@ def run_theory(theory: BinaryProgram, budget: int) -> TheoryRun:
     else:
         assert isinstance(out, MalformedProgram)
         emitted, consumed, terminal = (), 0, "malformed"
-    seen = set()
-    theorems = []
-    for statement in emitted:
-        if statement not in seen:
-            seen.add(statement)
-            theorems.append(statement)
-    return TheoryRun(
-        theory, len(theory.bits), tuple(theorems), budget, consumed, terminal
-    )
+    # One hash per statement; a repeat keeps the first object emitted.
+    theorems = tuple(dict.fromkeys(emitted))
+    return TheoryRun(theory, len(theory.bits), theorems, budget, consumed, terminal)
 
 
 @dataclass(frozen=True, slots=True)

@@ -55,8 +55,10 @@ def hex_to_bits(hex_text: str, bit_length: int) -> str:
     raw = bytes.fromhex(hex_text)
     if len(raw) != (bit_length + 7) // 8:
         raise ValueError("hex length does not match declared bit length")
-    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b") if raw else ""
-    if bits[bit_length:].strip("0"):
+    # One conversion; the leading 0x01 byte keeps the leading zero bits,
+    # and its "0b1" is cut off.
+    bits = bin(int.from_bytes(b"\x01" + raw, "big"))[3:]
+    if "1" in bits[bit_length:]:
         raise ValueError("nonzero padding bits after declared length")
     return bits[:bit_length]
 

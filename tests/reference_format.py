@@ -1,9 +1,10 @@
 """Per-character and per-node references for the text-to-bits path.
 
 ``program_head`` formats one character at a time and ``print_canonical``
-visits and checks every node on its own.  The library's versions convert a
-whole text or a whole list of atoms at once; these are their oracles, so
-they stay simple, not fast.
+visits and checks every node on its own.  ``hex_to_bits`` pads with a
+format spec made per call and checks the padding by stripping it.  The
+library's versions convert a whole text, a whole list of atoms or a whole
+payload at once; these are their oracles, so they stay simple, not fast.
 """
 
 from omegalab.sexpr import ATOM_CHARS, QUOTE_ATOM
@@ -47,3 +48,16 @@ def print_canonical(x):
         else:
             raise TypeError(f"not an s-expression: {node!r}")
     return "".join(parts)
+
+
+def hex_to_bits(hex_text, bit_length):
+    """Bits of a hex payload cut to bit_length; the padding must be zero."""
+    if bit_length < 0:
+        raise ValueError("bit length must be >= 0")
+    raw = bytes.fromhex(hex_text)
+    if len(raw) != (bit_length + 7) // 8:
+        raise ValueError("hex length does not match declared bit length")
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b") if raw else ""
+    if bits[bit_length:].strip("0"):
+        raise ValueError("nonzero padding bits after declared length")
+    return bits[:bit_length]

@@ -1,4 +1,5 @@
-"""The benchmark's tracer wraps omegalab names by attribute; each must exist."""
+"""The benchmark's tracer wraps omegalab names by attribute; each must exist
+and each traced layer must still be reached through its wrapped name."""
 
 import os
 import subprocess
@@ -8,12 +9,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = """
 from tracer import Tracer, install
-from omegalab import dovetail
+from omegalab import dovetail, incompleteness
 
 tracer = Tracer()
 install(tracer)
 dovetail.advance(dovetail.new_census(17), 1)
 assert tracer.counts["dovetail.advance.calls"] == 1, tracer.counts
+
+# Each diagonal row is one traced evaluation.
+before = tracer.counts.get("evaluator.evaluate.calls", 0)
+incompleteness.diagonal_table(5, 64)
+calls = tracer.counts["evaluator.evaluate.calls"] - before
+assert calls == 5, calls
 """
 
 

@@ -26,7 +26,7 @@ from omegalab.complexity import (
     randomness_report,
 )
 from omegalab import dovetail
-from omegalab.complexity import _census_winner
+from omegalab.complexity import _census_winner, _literal_of
 from omegalab.dovetail import (
     STATUS_HALTED_INVALID,
     STATUS_HALTED_VALID,
@@ -39,8 +39,8 @@ from omegalab.dovetail import (
     save_census,
 )
 from omegalab.evaluator import Halted, program_head
-from omegalab.machine import encode_text, run_program
-from omegalab.sexpr import parse_one, print_canonical
+from omegalab.machine import encode_program, encode_text, run_program
+from omegalab.sexpr import QUOTE_ATOM, parse_one, print_canonical
 
 
 def rerun_witness(estimate):
@@ -59,6 +59,52 @@ def test_literal_witness_always_exists_and_halts():
         result = run_program(w, 100)
         assert result.valid_halt
         assert result.outcome.value == x
+
+
+def encoded_literal(x):
+    """Reference for the literal witness: encode the quoting program."""
+    return encode_program(((QUOTE_ATOM, x),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sexprs)
+def test_literal_witness_from_text_is_the_encoded_literal(x):
+    expected = encoded_literal(x).bits
+    assert literal_witness(x).bits == expected
+    assert _literal_of(print_canonical(x)).bits == expected
+
+
+def test_literal_witness_from_text_on_edge_values():
+    deep = "a"
+    for _ in range(1000):
+        deep = (deep,)
+    for x in (QUOTE_ATOM, (), (QUOTE_ATOM,), (QUOTE_ATOM, QUOTE_ATOM), deep):
+        assert literal_witness(x).bits == encoded_literal(x).bits
+    for x in ((), (QUOTE_ATOM,), deep):
+        assert h_upper(x).witness.bits == encoded_literal(x).bits
+    for bad in ("a b", "", ("x", "a(b"), ("x", 3), (("y",), "'x")):
+        errors = []
+        for build in (encoded_literal, literal_witness):
+            with pytest.raises((ValueError, TypeError)) as raised:
+                build(bad)
+            errors.append((raised.type, str(raised.value)))
+        assert errors[0] == errors[1], bad
+
+
+def test_a_plain_bound_prints_its_subject_once(monkeypatch):
+    import omegalab.complexity as complexity
+
+    printed = []
+
+    def counted(x):
+        printed.append(x)
+        return print_canonical(x)
+
+    monkeypatch.setattr(complexity.sexpr, "print_canonical", counted)
+    x = parse_one("(q (r s))")
+    h_upper(x)
+    # The subject, then the value of the witness's verifying run.
+    assert printed == [x, x]
 
 
 def test_h_upper_atom_without_census_uses_literal():

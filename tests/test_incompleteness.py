@@ -15,8 +15,10 @@ from omegalab.incompleteness import (
     run_theory,
     unary,
 )
-from omegalab.machine import encode_text
-from omegalab.sexpr import parse_one, print_canonical
+from omegalab import incompleteness
+from omegalab.evaluator import OutOfTime
+from omegalab.machine import RunResult, encode_program, encode_text, run_program
+from omegalab.sexpr import QUOTE_ATOM, parse_one, print_canonical
 
 # Emits (1), (1 1), (1 1 1), ... forever.
 UNARY_STREAM_TEXT = "(define (go n) (go (display (join 1 n)))) (go ())"
@@ -72,6 +74,71 @@ def test_diverging_program_never_outputs():
     expr = parse_one(f"(lambda (m) {DIVERGER_TEXT})")
     for budget in (4, 64, 4096):
         assert digit_output_of(expr, 3, budget=budget) is None
+
+
+def encoded_digit_output(expr, m, budget):
+    """Reference for digit_output_of: encode the program and run its bits."""
+    program = encode_program(((expr, (QUOTE_ATOM, unary(m))),))
+    result = run_program(program, budget)
+    if not result.valid_halt:
+        return None
+    value = result.outcome.value
+    head = value[0] if type(value) is tuple and value else value
+    if type(head) is str and len(head) == 1 and head in "0123456789":
+        return int(head)
+    return None
+
+
+def _digit_or_error(fn, expr, m, budget):
+    try:
+        return fn(expr, m, budget)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_digit_output_matches_the_encoded_run():
+    exprs = list(itertools.islice(digit_programs(), 120))
+    exprs += [
+        parse_one(f"(lambda (m) {DIVERGER_TEXT})"),
+        parse_one("(' (3))"),
+        parse_one("(lambda (m) (lambda (d) 3))"),  # a closure value
+        parse_one("(lambda (m) (join (lambda (d) 3) m))"),  # a closure head
+        parse_one("(lambda (m) (join 3 (read-bit)))"),  # reads past the data
+        # A quote atom past a list's head prints as a quote mark, which
+        # reads back as quote sugar: the first text decodes to a program
+        # that outputs 3, the second to no program at all.
+        ("head", QUOTE_ATOM, ("3",)),
+        ("a", QUOTE_ATOM),
+    ]
+    for expr in exprs:
+        for m in (0, 1, 7, 50):
+            for budget in (1, 7, 64, 4096):
+                expected = encoded_digit_output(expr, m, budget)
+                assert digit_output_of(expr, m, budget) == expected, (
+                    expr, m, budget,
+                )
+    assert digit_output_of(("head", QUOTE_ATOM, ("3",)), 2, 64) == 3
+
+
+def test_digit_output_errors_match_the_encoded_run():
+    bad = [
+        "a b",
+        "",
+        ("x", "a(b"),
+        ("lambda", ("m",), ("join", "3", "")),
+        ("x", 3),  # not an s-expression
+        "'x",
+    ]
+    for expr in bad + [parse_one("(' (3))"), ("a", QUOTE_ATOM)]:
+        for m, budget in ((2, 64), (2, 0), (0, -1)):
+            expected = _digit_or_error(encoded_digit_output, expr, m, budget)
+            assert _digit_or_error(digit_output_of, expr, m, budget) == expected
+    with pytest.raises(ValueError, match="not a printable atom name"):
+        digit_output_of("a b", 2, 64)
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        digit_output_of("3", 2, 0)
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        diagonal_table(3, 0)
 
 
 def test_outputs_stable_under_budget_increase():
@@ -140,6 +207,21 @@ def test_run_theory_deduplicates_in_first_emission_order():
     run = run_theory(encode_text(text), 4096)
     assert run.theorems == ("a", "b")
     assert run.terminal == "halted"
+
+
+def test_run_theory_keeps_the_first_of_equal_statements(monkeypatch):
+    first, other = ("a", ("b",)), "c"
+    again = tuple(list(first))
+    assert first == again and first is not again
+    monkeypatch.setattr(
+        incompleteness,
+        "run_program",
+        lambda theory, budget: RunResult(OutOfTime((first, other, again)), 0),
+    )
+    run = run_theory(encode_text("(' a)"), 16)
+    assert run.theorems == (first, other)
+    assert run.theorems[0] is first
+    assert run.terminal == "out-of-time"
 
 
 def test_run_theory_flags_halting_theory():

@@ -307,6 +307,41 @@ def test_hex_codec_matches_a_per_byte_reference():
                 hex_to_bits(padded[:-2] + last, length)
 
 
+def _converted(fn, hex_text, bit_length):
+    try:
+        return fn(hex_text, bit_length)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_hex_to_bits_matches_the_format_spec_reference():
+    # Every 0- and 1-byte payload, in both letter cases, at every length
+    # from -1 to 8: exact fits, short and long declarations, nonzero
+    # padding and negative lengths.
+    payloads = [""]
+    for byte in range(256):
+        payloads += [f"{byte:02x}", f"{byte:02X}"]
+    payloads += ["0", "abc", "zz", "0g", " ff", "f f"]  # not hex
+    for hex_text in payloads:
+        for length in range(-1, 9):
+            assert _converted(hex_to_bits, hex_text, length) == _converted(
+                reference_format.hex_to_bits, hex_text, length
+            ), (hex_text, length)
+    # Seeded 2- to 4-byte payloads at every length that fits or misses by
+    # one byte, with clean and dirty padding.
+    rng = random.Random(1212)
+    for n_bytes in (2, 3, 4):
+        for _ in range(200):
+            raw = bytearray(rng.getrandbits(8) for _ in range(n_bytes))
+            if rng.random() < 0.5:
+                raw[-1] &= 0xFF << rng.randrange(8)
+            hex_text = raw.hex()
+            for length in range(8 * n_bytes - 16, 8 * n_bytes + 9):
+                assert _converted(hex_to_bits, hex_text, length) == _converted(
+                    reference_format.hex_to_bits, hex_text, length
+                ), (hex_text, length)
+
+
 def test_program_file_round_trip(tmp_path):
     program = encode_text("(' (a b))", "101")
     path = tmp_path / "p.prog"
