@@ -343,12 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=positive, default=1)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--resume", help="census file to continue")
-    g.add_argument("--max-bits", type=int, help="corpus bound (default: 24)")
+    g.add_argument("--max-bits", type=_at_least(dovetail.MIN_PROGRAM_BITS),
+                   help="corpus bound (default: 24)")
 
     p = sub.add_parser("omega", help="exact halting-probability lower bound")
     p.add_argument("--census", required=True)
-    p.add_argument("--bits", type=int, default=None, help="expansion width")
-    p.add_argument("--decide-bits", type=int, default=None,
+    p.add_argument("--bits", type=_at_least(0), help="expansion width")
+    p.add_argument("--decide-bits", type=_at_least(0),
                    help="also classify all programs up to this size")
 
     p = sub.add_parser("complexity", help="upper-bound information content")

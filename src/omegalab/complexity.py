@@ -78,6 +78,7 @@ def _value_text(program: BinaryProgram, budget: int) -> str | None:
 
 def _estimate(
     subject: SExpr,
+    value_text: str,
     census: Census | None,
     budget: int,
     constructed: tuple[BinaryProgram, ...] = (),
@@ -85,8 +86,7 @@ def _estimate(
     """Smallest known witness: the census search, the always-available
     literal, and any explicitly constructed candidates (which are only
     admitted after a verifying run, and that run stands as the witness's
-    verification)."""
-    value_text = sexpr.print_canonical(subject)
+    verification).  value_text is the subject's canonical text."""
     witness = _literal_of(value_text)
     found = _census_winner(census, value_text)
     if found is not None and len(found) < len(witness.bits):
@@ -114,7 +114,7 @@ def h_upper(
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> ComplexityEstimate:
     """Upper bound on the information content of x."""
-    return _estimate(x, census, budget)
+    return _estimate(x, sexpr.print_canonical(x), census, budget)
 
 
 def _joint(
@@ -123,10 +123,11 @@ def _joint(
     """The plain bounds of x and y, then the bound of the pair (x y)."""
     ex = h_upper(x, census, budget)
     ey = ex if x == y else h_upper(y, census, budget)
-    constructed = [BinaryProgram(_PAIR_HEAD + ex.witness.bits + ey.witness.bits)]
+    constructed = (BinaryProgram(_PAIR_HEAD + ex.witness.bits + ey.witness.bits),)
     if ey is ex:
-        constructed.append(BinaryProgram(_DUP_HEAD + ex.witness.bits))
-    return ex, ey, _estimate((x, y), census, budget, tuple(constructed))
+        constructed += (BinaryProgram(_DUP_HEAD + ex.witness.bits),)
+    xy = (x, y)
+    return ex, ey, _estimate(xy, sexpr.print_canonical(xy), census, budget, constructed)
 
 
 def h_joint_upper(
@@ -201,8 +202,9 @@ def h_relative_upper(
     given = _value_text(wy, budget)
     if given is None:
         raise InvalidWitness(f"not a validly halting program: {wy.hex}")
-    plain = _estimate(x, census, budget)
-    if given == sexpr.print_canonical(x) and len(wy.bits) <= plain.bound_bits:
+    text = sexpr.print_canonical(x)
+    plain = _estimate(x, text, census, budget)
+    if given == text and len(wy.bits) <= plain.bound_bits:
         return ComplexityEstimate(
             x, len(wy.bits), wy, plain.search_exhausted_to, budget
         )
@@ -244,8 +246,9 @@ def randomness_report(
     if type(x) is not tuple or any(a not in ("0", "1") for a in x):
         raise NotABitString(f"not a list of 0/1 atoms: {x!r}")
     n = len(x)
-    estimate = _estimate(x, census, budget)
-    literal_bits = len(literal_witness(x).bits)
+    text = sexpr.print_canonical(x)
+    estimate = _estimate(x, text, census, budget)
+    literal_bits = len(_literal_of(text).bits)
     overhead = literal_bits - n
     deficiency = n - (estimate.bound_bits - overhead)
     compressible = estimate.bound_bits < literal_bits

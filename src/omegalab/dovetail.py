@@ -3,22 +3,22 @@
 Programs are enumerated shortest first (lexicographic within a length);
 bit strings that do not decode are skipped, since they cannot halt and
 contribute nothing to the halting probability.  The census records, for
-every enumerated program, the latest known run status.  Statuses only ever
-move from unknown to a decided state and never change afterwards, so the
-census after stage t is a pure function of t no matter how the work was
-scheduled.
+every enumerated program, the latest known run status.
 
 Dovetail schedule: at stage t every program of at most ``16 + t`` bits
 (capped by the census's corpus bound) gets a budget of ``2**t`` steps.
-Every program therefore eventually receives an unbounded budget.
+Every program therefore eventually receives an unbounded budget.  Runs are
+deterministic and a halt or abort at step k is the same under any larger
+budget, so statuses never change once decided and the census after stage t
+is a pure function of t: ``advance`` computes it in one pass at ``2**t``.
 
-A run depends on its data only through the bits it reads, so a stage runs
-each pending head (text and separator) once per read path, not each bit
-string: first with no data, then one bit longer only while the run aborts
-before the end of some record's data.  Every extension of a path inherits
-the outcome of the run that decided it (the halting-prefix pruning of
-Calude, Dinneen and Shu, "Computing a glimpse of randomness", 2002).
-Undecided records stay pending under their heads, and ``jobs`` spreads heads.
+A run depends on its data only through the bits it reads, so each pending
+head (text and separator) runs once per read path, not each bit string:
+first with no data, then one bit longer only while the run aborts before
+the end of some record's data.  Every extension of a path inherits the
+outcome of the run that decided it (the halting-prefix pruning of Calude,
+Dinneen and Shu, "Computing a glimpse of randomness", 2002).  ``jobs``
+spreads heads over processes.
 """
 
 from __future__ import annotations
@@ -214,16 +214,16 @@ def _decide_head(
     group: tuple[str, tuple[str, ...], int],
 ) -> list[tuple[str, int, str | None]]:
     """Worker: decide every record that shares one head, one read path at a
-    time; returns (status, steps, value text) per data string, in order.
+    time; returns (status, steps, value text) per record's bits, in order.
 
-    A run on ``head + data[:j]`` that halts, runs out of time or is
-    malformed read at most j data bits, so the run on ``head + data`` does
-    the same: its outcome decides the record.  An abort before the end of
-    the data may be a read past bit j, so the path grows by one bit and runs
-    again.  Runs are kept by bit string while the group lasts, so each path
-    is run once however many records extend it.
+    A run on ``bits[:len(head) + j]`` that halts, runs out of time or is
+    malformed read at most j data bits, so the run on the whole of ``bits``
+    does the same: its outcome decides the record.  An abort before the end
+    of the data may be a read past bit j, so the path grows by one bit and
+    runs again.  Runs are kept by bit string while the group lasts, so each
+    path is run once however many records extend it.
     """
-    head, datas, budget = group
+    head, programs, budget = group
     runs: dict[str, tuple[str, int, str | None, int | None]] = {}
 
     def run(bits: str) -> tuple[str, int, str | None, int | None]:
@@ -246,13 +246,13 @@ def _decide_head(
 
     first = run(head)
     decided = []
-    for data in datas:
-        j = 0
+    for bits in programs:
+        end = len(head)
         status, steps, value_text, read = first
-        while read is None and j < len(data):
-            j += 1
-            status, steps, value_text, read = run(head + data[:j])
-        if status == STATUS_HALTED_VALID and read != len(data):
+        while read is None and end < len(bits):
+            end += 1
+            status, steps, value_text, read = run(bits[:end])
+        if status == STATUS_HALTED_VALID and len(head) + read != len(bits):
             status = STATUS_HALTED_INVALID
         decided.append((status, steps, value_text))
     return decided
@@ -271,48 +271,40 @@ def advance(
     stages: int,
     jobs: int = 1,
 ) -> Census:
-    """Run the next ``stages`` dovetail stages, updating the census in place.
+    """Bring the census to stage ``census.stage + stages`` in place, in one
+    pass: the records still unknown and every program newly inside the size
+    cap run once, at that stage's budget.
 
-    Undecided records are kept by head for the whole call, and the heads
-    may be spread over one pool of ``jobs`` processes that serves every
-    stage; the result is byte-identical either way because each record's
-    fields depend only on its own bits and the stage's budget, and
-    statuses, once decided, are final.
+    The heads may be spread over a pool of ``jobs`` processes; the result is
+    byte-identical either way because each record's fields depend only on
+    its own bits and the budget.
     """
     _check_version(census.version, census.config_digest)
+    if stages < 1:
+        return census
+    t = census.stage + stages
     pending: dict[str, list[Record]] = {}
     for record in census.records.values():
         if record.status == STATUS_UNKNOWN:
             scanned = scan_program(record.bits, 0)
             end = None if type(scanned) is MalformedProgram else scanned[2]
             pending.setdefault(record.bits[:end], []).append(record)
+    size_cap = min(MIN_PROGRAM_BITS + t, census.max_bits)
+    for head, data in _heads_and_data(size_cap, census.enrolled_bits + 1):
+        bits = head + data  # one string, shared by the key and the record
+        record = census.records[bits] = Record(bits)
+        pending.setdefault(head, []).append(record)
+    work = [(head, tuple(r.bits for r in group), 2**t) for head, group in pending.items()]
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for _ in range(stages):
-            t = census.stage + 1
-            size_cap = min(MIN_PROGRAM_BITS + t, census.max_bits)
-            for head, data in _heads_and_data(size_cap, census.enrolled_bits + 1):
-                bits = head + data  # one string, shared by the key and the record
-                record = census.records[bits] = Record(bits)
-                pending.setdefault(head, []).append(record)
-            work = [
-                (head, tuple(r.bits[len(head) :] for r in group), 2**t)
-                for head, group in pending.items()
-            ]
-            if pool is None:
-                results = map(_decide_head, work)
-            else:
-                chunk = max(1, len(work) // (jobs * 8))
-                results = pool.map(_decide_head, work, chunksize=chunk)
-            undecided: dict[str, list[Record]] = {}
-            for (head, group), decided in zip(pending.items(), results):
-                for record, (status, steps, value_text) in zip(group, decided):
-                    record.status = status
-                    record.steps = steps
-                    record.value_text = value_text
-                    if status == STATUS_UNKNOWN:
-                        undecided.setdefault(head, []).append(record)
-            census.stage = t
-            pending = undecided
+        if pool is None:
+            results = map(_decide_head, work)
+        else:
+            chunk = max(1, len(work) // (jobs * 8))
+            results = pool.map(_decide_head, work, chunksize=chunk)
+        for group, decided in zip(pending.values(), results):
+            for record, fields in zip(group, decided):
+                record.status, record.steps, record.value_text = fields
+    census.stage = t
     return census
 
 

@@ -214,12 +214,15 @@ def render_value(value: Value) -> SExpr:
 
 
 def _contains_closure(value: tuple) -> bool:
+    # Each node once, by identity: a DAG is not walked once per path.
+    seen: set[int] = set()
     stack = [value]
     while stack:
         node = stack.pop()
         if type(node) is Closure:
             return True
-        if type(node) is tuple:
+        if type(node) is tuple and id(node) not in seen:
+            seen.add(id(node))
             stack.extend(node)
     return False
 

@@ -143,13 +143,15 @@ def test_census_omega_and_decide_flow(capsys, tmp_path):
     assert report["decide"]["halting"] > 0
 
 
-def test_omega_negative_width_is_domain_error(capsys, tmp_path):
+def test_omega_negative_width_is_usage_error(capsys, tmp_path):
     census_path = tmp_path / "c.census"
     run_cli(capsys, "census", "--stages", "2", "--out", str(census_path), "--max-bits", "17")
-    code, out, err = run_cli(capsys, "omega", "--census", str(census_path), "--bits", "-2")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error ValueError")
+    with pytest.raises(SystemExit) as err:
+        main(["omega", "--census", str(census_path), "--bits", "-2"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --bits: must be >= 0, got -2" in captured.err
 
 
 def test_omega_decide_never_advances(capsys, tmp_path, monkeypatch):
@@ -407,6 +409,9 @@ def test_usage_error_exits_two(capsys, tmp_path):
         ["omega", "--census", out, "--jobs", "2"],
         ["omega", "--census", out, "--stage-cap", "8"],
         ["enumerate", "--max-bits", "17", "--limit", "-1"],
+        ["omega", "--census", out, "--bits", "-1"],
+        ["omega", "--census", out, "--decide-bits", "-1"],
+        ["census", "--stages", "1", "--out", out, "--max-bits", "10"],
         ["census", "--stages", "x", "--out", out],
         # Pairs of options of which one would silently override the other.
         ["census", "--stages", "1", "--out", out, "--resume", out, "--max-bits", "24"],

@@ -107,6 +107,28 @@ def test_a_plain_bound_prints_its_subject_once(monkeypatch):
     assert printed == [x, x]
 
 
+def test_relative_and_randomness_queries_print_their_subject_once(monkeypatch):
+    import omegalab.complexity as complexity
+
+    x = parse_one("(q (r s))")
+    wy = literal_witness(x)
+    printed = []
+
+    def counted(x):
+        printed.append(x)
+        return print_canonical(x)
+
+    monkeypatch.setattr(complexity.sexpr, "print_canonical", counted)
+    h_relative_upper(x, wy)
+    # The given witness's value, the subject, the plain witness's value.
+    assert printed == [x, x, x]
+    printed.clear()
+    bits = parse_one("(0 1 1 0)")
+    randomness_report(bits)
+    # The subject, then the value of the witness's verifying run.
+    assert printed == [bits, bits]
+
+
 def test_h_upper_atom_without_census_uses_literal():
     est = h_upper("a")
     assert est.bound_bits == 48  # |encode("(' a)")|

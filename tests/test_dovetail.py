@@ -158,6 +158,44 @@ def test_advance_rejects_foreign_census():
         advance(census, 1)
 
 
+def test_advance_by_zero_stages_runs_nothing(monkeypatch):
+    census = advance(new_census(20), 3)
+    before = copy.deepcopy(census)
+    runs = _counting_runs(monkeypatch)
+    assert advance(census, 0) is census
+    assert census == before
+    assert runs == []
+    census.version = "someone-else-1"
+    with pytest.raises(VersionMismatch):
+        advance(census, 0)
+
+
+def _counting_runs(monkeypatch) -> list:
+    runs = []
+    run_program = dovetail.run_program
+
+    def counted(*args, **kwargs):
+        runs.append(args[0].bits)
+        return run_program(*args, **kwargs)
+
+    monkeypatch.setattr(dovetail, "run_program", counted)
+    return runs
+
+
+@pytest.mark.parametrize("max_bits, stages", [(24, 10), (28, 12)])
+def test_advance_runs_each_head_once(max_bits, stages, monkeypatch, tmp_path):
+    """One pass at the last stage's budget: no program under 88 bits reads a
+    bit, so each of the 9,192 heads of at most two characters runs once with
+    no data, however many stages and data extensions the call covers."""
+    runs = _counting_runs(monkeypatch)
+    census = advance(new_census(max_bits), stages)
+    assert len(runs) == len(set(runs)) == 9192
+    path = tmp_path / "c.census"
+    save_census(census, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_CENSUS_SHA256[max_bits, stages]
+
+
 def test_omega_bound_empty_census_is_zero():
     assert omega_lower_bound(new_census(24)) == DyadicRational.zero()
 
@@ -281,6 +319,7 @@ GOLDEN_CENSUS_SHA256 = {
     (20, 6): "181141b9d78a1d51ec233b50f1b7fb31eafeaeafef95f4b5f4db40b1f3ddb331",
     (24, 10): "338453c2b368f9814669f8c9ac709a372d68a5b825c72f55920282f19152656d",
     (26, 12): "0592b013d1b6b5ec4b276f09091905502835f0b960704906abd061263d9f2408",
+    (28, 12): "34a2df64890b9ec4713b85e7455f2327ef645bb332a84dbc6005b3597da1a5fb",
 }
 
 

@@ -1,5 +1,9 @@
 """Budgeted evaluator semantics."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +145,39 @@ def test_display_renders_closures_inside_lists():
     assert isinstance(out, Halted)
     assert out.emitted == ((("lambda", ("x",), "x"),),)
     assert type(out.emitted[0][0]) is tuple
+
+
+# Once a closure sits in a list every final value is checked for closures;
+# this one doubles a shared node 60 times, so it has 2**60 paths but only
+# 61 distinct lists.
+SHARED_DOUBLING_SCRIPT = """
+from omegalab.evaluator import BitTape, evaluate
+from omegalab.sexpr import parse
+
+text = (
+    "(define c (join (lambda (x) x) ()))"
+    "(define (dbl x n) (if (= n ()) x (dbl (join x (join x ())) (tail n))))"
+    "(dbl (' a) (' (" + " ".join(["1"] * 60) + ")))"
+)
+out = evaluate(parse(text), BitTape(""), 4096)
+print(type(out).__name__, out.steps)
+"""
+
+
+def test_closure_check_walks_a_shared_value_once_per_node():
+    # In a child process: the value must not be compared or printed here,
+    # both take time exponential in the doubling count.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(tests), "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", SHARED_DOUBLING_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["Halted", "794"]
 
 
 def test_arity_padding_and_extras():
