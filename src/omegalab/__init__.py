@@ -11,7 +11,6 @@ from .sexpr import (
     parse_one,
     print_canonical,
     print_program,
-    tokenize,
 )
 from .evaluator import (
     AbortOverrun,

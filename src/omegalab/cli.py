@@ -334,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=positive, default=machine.DEFAULT_BUDGET)
 
     p = sub.add_parser("enumerate", help="stream decodable programs by size")
-    p.add_argument("--max-bits", type=int, required=True)
+    p.add_argument("--max-bits", type=_at_least(0), required=True)
     p.add_argument("--limit", type=_at_least(0))
 
     p = sub.add_parser("census", help="create or resume a dovetail census")

@@ -196,6 +196,11 @@ def is_define_form(expr: SExpr) -> bool:
     return type(expr) is tuple and len(expr) > 0 and expr[0] == "define"
 
 
+def _defines_then_body(program: tuple) -> bool:
+    """Whether every top-level form but the last is a define form."""
+    return all(map(is_define_form, program[:-1]))
+
+
 def render_value(value: Value) -> SExpr:
     """Map a runtime value to a plain expression; closures read back as
     their (lambda (params) body) source.
@@ -294,6 +299,20 @@ _ATOMQ = 8
 _DISPLAY = 9
 _BIND = 10
 
+# Forms that evaluate their operands left to right, then apply one opcode
+# to the values: form name -> (opcode task, operand count).  Operand 2 is
+# pushed first, so operand 1 is evaluated first.
+_OPERAND_FORMS = {
+    "=": ((_EQ,), 2),
+    "join": ((_JOIN,), 2),
+    "head": ((_HEAD,), 1),
+    "car": ((_HEAD,), 1),
+    "tail": ((_TAIL,), 1),
+    "cdr": ((_TAIL,), 1),
+    "atom?": ((_ATOMQ,), 1),
+    "display": ((_DISPLAY,), 1),
+}
+
 _MISS = object()
 
 
@@ -325,9 +344,8 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
     program = tuple(program)
     if not program:
         return MalformedProgram(EMPTY_PROGRAM)
-    for form in program[:-1]:
-        if not is_define_form(form):
-            return MalformedProgram(NON_DEFINE_FORM)
+    if not _defines_then_body(program):
+        return MalformedProgram(NON_DEFINE_FORM)
 
     bits = tape.bits
     cursor = start = tape.cursor
@@ -377,30 +395,12 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
                     work.append((_BRANCH, _arg(expr, 2), _arg(expr, 3), env))
                     work.append((_EV, _arg(expr, 1), env))
                     continue
-                if head == "=":
-                    work.append((_EQ,))
-                    work.append((_EV, _arg(expr, 2), env))
-                    work.append((_EV, _arg(expr, 1), env))
-                    continue
-                if head == "head" or head == "car":
-                    work.append((_HEAD,))
-                    work.append((_EV, _arg(expr, 1), env))
-                    continue
-                if head == "tail" or head == "cdr":
-                    work.append((_TAIL,))
-                    work.append((_EV, _arg(expr, 1), env))
-                    continue
-                if head == "join":
-                    work.append((_JOIN,))
-                    work.append((_EV, _arg(expr, 2), env))
-                    work.append((_EV, _arg(expr, 1), env))
-                    continue
-                if head == "atom?":
-                    work.append((_ATOMQ,))
-                    work.append((_EV, _arg(expr, 1), env))
-                    continue
-                if head == "display":
-                    work.append((_DISPLAY,))
+                form = _OPERAND_FORMS.get(head)
+                if form is not None:
+                    then, arity = form
+                    work.append(then)
+                    if arity == 2:
+                        work.append((_EV, _arg(expr, 2), env))
                     work.append((_EV, _arg(expr, 1), env))
                     continue
                 if head == "read-bit":
@@ -414,12 +414,7 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
                     if type(scanned) is MalformedProgram:
                         return AbortOverrun(steps, tuple(emitted))
                     inner, _, cursor = scanned
-                    ok = True
-                    for f in inner[:-1]:
-                        if not is_define_form(f):
-                            ok = False
-                            break
-                    if not ok:
+                    if not _defines_then_body(inner):
                         return AbortOverrun(steps, tuple(emitted))
                     _push_sequence(work, inner, Env({}, None))
                     continue

@@ -125,7 +125,9 @@ def decode_program(
 ) -> Union[DecodedProgram, MalformedProgram]:
     """Split a bit string into (prefix expressions, data bits).
 
-    Exact inverse of encode_program on its image.  Returns a
+    Inverse of encode_program on its image, except for a prefix holding a
+    quote atom outside operator position: that atom prints as a bare quote
+    mark, which reads back as sugar.  Returns a
     MalformedProgram value when there is no byte-aligned separator, a byte
     outside the text alphabet, or a prefix that does not parse to at least
     one expression.

@@ -9,14 +9,16 @@ The quote operator is the distinguished atom ``'``.  A quote mark directly
 after ``(`` reads as that atom in operator position, so ``(' y)`` is the
 two-element list whose head is the quote operator.  Anywhere else a quote
 mark is shorthand: ``'x`` reads as ``(' x)``.  This is the only atom spelled
-with the quote character, and it can only be produced in operator position,
-which keeps parse/print round trips exact.
+with the quote character, and the reader produces it only in operator
+position.  Anywhere else it prints as a bare quote mark, which reads back as
+sugar: ``("a", "'", "b")`` prints as ``(a ' b)``, read as ``(a (' b))``.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
 SExpr = Union[str, tuple]
 
@@ -53,41 +55,8 @@ class DanglingQuote(SExprError):
         super().__init__("quote mark with nothing to quote", position)
 
 
-class Token(NamedTuple):
-    kind: str  # "open" | "close" | "quote" | "atom"
-    text: str
-    pos: int
-
-
-def tokenize(text: str) -> list[Token]:
-    """Split source text into open/close/quote/atom tokens.
-
-    Raises IllegalCharacter for any byte outside the program alphabet.
-    """
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in WHITESPACE_CHARS:
-            i += 1
-        elif c == "(":
-            tokens.append(Token("open", "(", i))
-            i += 1
-        elif c == ")":
-            tokens.append(Token("close", ")", i))
-            i += 1
-        elif c == "'":
-            tokens.append(Token("quote", "'", i))
-            i += 1
-        elif c in ATOM_CHARS:
-            start = i
-            while i < n and text[i] in ATOM_CHARS:
-                i += 1
-            tokens.append(Token("atom", text[start:i], start))
-        else:
-            raise IllegalCharacter(i, c)
-    return tokens
+# One token: a structural character or a maximal run of atom characters.
+_TOKEN = re.compile(r"[()']|[^ \t\n\r()']+")
 
 
 def parse(text: str) -> tuple[SExpr, ...]:
@@ -95,48 +64,48 @@ def parse(text: str) -> tuple[SExpr, ...]:
 
     A quote mark in operator position (right after an open paren) is the
     quote atom; elsewhere it wraps the following expression as ``(' x)``.
+    An illegal character is reported before any other reader error.
     """
-    tokens = tokenize(text)
-    results: list[SExpr] = []
-    # Stack of (accumulating list, position of its open paren).
-    stack: list[tuple[list, int]] = []
-    # Sugar quote marks waiting for an expression: (depth, position).
-    pending: list[tuple[int, int]] = []
-
-    def emit(expr: SExpr) -> None:
-        depth = len(stack)
-        while pending and pending[-1][0] == depth:
-            pending.pop()
-            expr = (QUOTE_ATOM, expr)
-        if stack:
-            stack[-1][0].append(expr)
-        else:
-            results.append(expr)
-
-    for tok in tokens:
-        if tok.kind == "open":
-            stack.append(([], tok.pos))
-        elif tok.kind == "close":
-            if not stack:
-                raise UnbalancedParens(tok.pos)
-            if pending and pending[-1][0] == len(stack):
-                raise DanglingQuote(pending[-1][1])
-            items, _ = stack.pop()
-            emit(tuple(items))
-        elif tok.kind == "atom":
-            emit(tok.text)
-        else:  # quote mark
-            if stack and not stack[-1][0] and not (
-                pending and pending[-1][0] == len(stack)
-            ):
-                emit(QUOTE_ATOM)
+    if not TEXT_CHARS.issuperset(text):
+        for i, c in enumerate(text):
+            if c not in TEXT_CHARS:
+                raise IllegalCharacter(i, c)
+    # The list being read, the positions of its sugar quote marks waiting
+    # for an expression, and (list, quote marks, open position) of each
+    # enclosing list; the top level is the bottom list.
+    items: list = []
+    quotes: list[int] = []
+    stack: list[tuple[list, list[int], int]] = []
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "(":
+            stack.append((items, quotes, m.start()))
+            items, quotes = [], []
+            continue
+        if tok == "'":
+            if stack and not items:
+                items.append(QUOTE_ATOM)
             else:
-                pending.append((len(stack), tok.pos))
+                quotes.append(m.start())
+            continue
+        if tok == ")":
+            if not stack:
+                raise UnbalancedParens(m.start())
+            if quotes:
+                raise DanglingQuote(quotes[-1])
+            expr: SExpr = tuple(items)
+            items, quotes, _ = stack.pop()
+        else:
+            expr = tok
+        while quotes:
+            quotes.pop()
+            expr = (QUOTE_ATOM, expr)
+        items.append(expr)
     if stack:
-        raise UnbalancedParens(stack[-1][1])
-    if pending:
-        raise DanglingQuote(pending[-1][1])
-    return tuple(results)
+        raise UnbalancedParens(stack[-1][2])
+    if quotes:
+        raise DanglingQuote(quotes[-1])
+    return tuple(items)
 
 
 def parse_one(text: str) -> SExpr:
@@ -186,7 +155,8 @@ def print_canonical(x: SExpr) -> str:
     """Render an expression in its unique canonical form.
 
     Single spaces between siblings, no other whitespace.  The output is the
-    interchange format: parse(print_canonical(x)) == (x,).
+    interchange format: parse(print_canonical(x)) == (x,) unless x holds a
+    quote atom outside operator position, which reads back as sugar.
 
     A list of atoms is printed whole.  Any other list, or one holding a bad
     atom, is walked item by item, so the first bad node in print order

@@ -409,6 +409,7 @@ def test_usage_error_exits_two(capsys, tmp_path):
         ["omega", "--census", out, "--jobs", "2"],
         ["omega", "--census", out, "--stage-cap", "8"],
         ["enumerate", "--max-bits", "17", "--limit", "-1"],
+        ["enumerate", "--max-bits", "-1"],
         ["omega", "--census", out, "--bits", "-1"],
         ["omega", "--census", out, "--decide-bits", "-1"],
         ["census", "--stages", "1", "--out", out, "--max-bits", "10"],
