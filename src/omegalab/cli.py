@@ -167,15 +167,13 @@ def _cmd_census(ns) -> int:
         census = dovetail.new_census(24 if ns.max_bits is None else ns.max_bits)
     dovetail.advance(census, ns.stages, jobs=ns.jobs)
     dovetail.save_census(census, _census_path(ns.out))
-    statuses = {}
-    for record in census.records.values():
-        statuses[record.status] = statuses.get(record.status, 0) + 1
+    statuses = dovetail.status_counts(census)
     _emit(
         {
             "out": ns.out,
             "stage": census.stage,
             "max_bits": census.max_bits,
-            "records": len(census.records),
+            "records": sum(statuses.values()),
             "statuses": dict(sorted(statuses.items())),
             "omega_lower_bound": str(dovetail.omega_lower_bound(census)),
         },

@@ -17,17 +17,19 @@ head (text and separator) runs once per read path, not each bit string:
 first with no data, then one bit longer only while the run aborts before
 the end of some record's data.  Every extension of a path inherits the
 outcome of the run that decided it (the halting-prefix pruning of Calude,
-Dinneen and Shu, "Computing a glimpse of randomness", 2002).  ``jobs``
-spreads heads over processes.
+Dinneen and Shu, "Computing a glimpse of randomness", 2002).  The census
+keeps those paths per head and derives a bit string's record from them
+only when its records are read.  ``jobs`` spreads heads over processes.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -60,6 +62,10 @@ STATUS_ABORTED = "aborted"
 STATUS_UNKNOWN = "unknown"
 
 _CENSUS_MAGIC = "omegalab census 1"
+
+# What one run on a read path decides: (status, steps, value text, data bits
+# read), the bits read None on an abort, which may be a read past the path.
+PathFields = tuple[str, int, str | None, int | None]
 
 
 class VersionMismatch(Exception):
@@ -96,9 +102,22 @@ class Record:
         return self.status != STATUS_UNKNOWN
 
 
-@dataclass(slots=True)
 class Census:
     """Persistent map from enumerated programs to their run records.
+
+    ``advance`` stores what it decides by head (a text and its separator),
+    not by bit string: each enrolled head's decided read paths, path bits to
+    (status, steps, value text, data bits read; None on an abort).  The
+    records of the programs it enrolled follow from those paths and the
+    window of program lengths that it enrolled, so none is built.
+    ``records`` holds the records kept one by one: hand-enrolled, loaded,
+    undecodable and oversized ones.  Its first read materialises the derived
+    records into it, in enumeration order, at the positions a per-record
+    census gives them (after the records already held, a held record of an
+    enrolled program rewritten in place), and drops the per-head state.
+    ``save_census``, ``omega_lower_bound`` and ``status_counts`` read the
+    per-head state without materialising.  Equality and repr are those of
+    (version, config digest, max bits, stage, records).
 
     ``winner`` answers from an index of value texts memoised in
     ``value_index`` and keyed on ``(stage, len(records))``; a lookup under a
@@ -109,14 +128,43 @@ class Census:
     part in equality or repr and is never saved.
     """
 
-    version: str
-    config_digest: str
-    max_bits: int
-    stage: int = 0
-    records: dict[str, Record] = field(default_factory=dict)
-    value_index: tuple[tuple[int, int], dict[str, str]] | None = field(
-        default=None, init=False, compare=False, repr=False
+    __slots__ = (
+        "version", "config_digest", "max_bits", "stage",
+        "_records", "_window", "_heads", "value_index",
     )
+
+    def __init__(self, version: str, config_digest: str, max_bits: int, stage: int = 0):
+        self.version = version
+        self.config_digest = config_digest
+        self.max_bits = max_bits
+        self.stage = stage
+        self._records: dict[str, Record] = {}
+        # (first, last) program length whose records derive from _heads.
+        self._window: tuple[int, int] | None = None
+        self._heads: dict[str, dict[str, PathFields]] = {}
+        self.value_index: tuple[tuple[int, int], dict[str, str]] | None = None
+
+    @property
+    def records(self) -> dict[str, Record]:
+        if self._window is not None:
+            _materialise(self)
+        return self._records
+
+    def _fields(self) -> tuple:
+        return (self.version, self.config_digest, self.max_bits, self.stage, self.records)
+
+    def __eq__(self, other):
+        if type(other) is not Census:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"Census(version={self.version!r}, config_digest={self.config_digest!r}, "
+            f"max_bits={self.max_bits!r}, stage={self.stage!r}, records={self.records!r})"
+        )
 
     @property
     def enrolled_bits(self) -> int:
@@ -176,6 +224,11 @@ def parseable_texts_upto(max_chars: int) -> tuple[str, ...]:
     return tuple(sorted(pool))
 
 
+def _data_strings(n: int) -> list[str]:
+    """Every bit string of length n, lexicographic."""
+    return ["".join(bits) for bits in itertools.product("01", repeat=n)]
+
+
 def _heads_and_data(
     max_bits: int, min_bits: int = MIN_PROGRAM_BITS
 ) -> Iterator[tuple[str, str]]:
@@ -193,9 +246,7 @@ def _heads_and_data(
             data_len = length - len(head)
             suffixes = data_suffixes.get(data_len)
             if suffixes is None:
-                suffixes = data_suffixes[data_len] = [
-                    "".join(bits) for bits in itertools.product("01", repeat=data_len)
-                ]
+                suffixes = data_suffixes[data_len] = _data_strings(data_len)
             for data in suffixes:
                 yield head, data
 
@@ -211,24 +262,25 @@ def enumerate_programs(max_bits: int) -> Iterator[BinaryProgram]:
 
 
 def _decide_head(
-    group: tuple[str, tuple[str, ...], int],
-) -> list[tuple[str, int, str | None]]:
-    """Worker: decide every record that shares one head, one read path at a
-    time; returns (status, steps, value text) per record's bits, in order.
+    group: tuple[str, dict[str, PathFields], int, tuple[str, ...], int],
+) -> dict[str, PathFields]:
+    """Worker: run one head's read paths; returns the fields of every path.
 
-    A run on ``bits[:len(head) + j]`` that halts, runs out of time or is
-    malformed read at most j data bits, so the run on the whole of ``bits``
-    does the same: its outcome decides the record.  An abort before the end
-    of the data may be a read past bit j, so the path grows by one bit and
-    runs again.  Runs are kept by bit string while the group lasts, so each
-    path is run once however many records extend it.
+    A run on ``head + data[:j]`` that halts, runs out of time or is
+    malformed read at most j data bits, so a run on any extension does the
+    same: its outcome decides every extension of the path.  An abort may be
+    a read past bit j, so the path grows by one bit, both ways, while it
+    holds fewer than ``data_bits`` data bits.  Each bit string of
+    ``programs`` (records held one by one) follows its own path to its full
+    length.  The paths in ``known`` were decided at a smaller budget, and a
+    halt or abort at step k is the same at any larger one, so only the other
+    paths run.
     """
-    head, programs, budget = group
-    runs: dict[str, tuple[str, int, str | None, int | None]] = {}
+    head, known, data_bits, programs, budget = group
+    paths = dict(known)
 
-    def run(bits: str) -> tuple[str, int, str | None, int | None]:
-        """(status, steps, value text, data bits read; None on an abort)."""
-        fields = runs.get(bits)
+    def read(bits: str) -> int | None:
+        fields = paths.get(bits)
         if fields is None:
             out = run_program(_checked_program(bits), budget).outcome
             if isinstance(out, Halted):
@@ -241,21 +293,144 @@ def _decide_head(
                 fields = (STATUS_ABORTED, 0, None, 0)
             else:
                 fields = (STATUS_UNKNOWN, budget, None, 0)
-            runs[bits] = fields
-        return fields
+            paths[bits] = fields
+        return fields[3]
 
-    first = run(head)
-    decided = []
+    todo = [head]
+    while todo:
+        path = todo.pop()
+        if read(path) is None and len(path) < len(head) + data_bits:
+            todo += (path + "0", path + "1")
     for bits in programs:
         end = len(head)
-        status, steps, value_text, read = first
-        while read is None and end < len(bits):
+        while read(bits[:end]) is None and end < len(bits):
             end += 1
-            status, steps, value_text, read = run(bits[:end])
-        if status == STATUS_HALTED_VALID and len(head) + read != len(bits):
+    return paths
+
+
+def _record_fields(
+    paths: dict[str, PathFields], head: str, bits: str
+) -> tuple[str, int, str | None]:
+    """(status, steps, value text) of the record over bits: the fields of
+    the first path along bits that does not abort short of its end; a halt
+    is valid only when it read all of the data."""
+    end = len(head)
+    status, steps, value_text, read = paths[head]
+    while read is None and end < len(bits):
+        end += 1
+        status, steps, value_text, read = paths[bits[:end]]
+    if status == STATUS_HALTED_VALID and len(head) + read != len(bits):
+        status = STATUS_HALTED_INVALID
+    return status, steps, value_text
+
+
+def _blocks(
+    paths: dict[str, PathFields], head: str, length: int
+) -> list[tuple[int, str, int, str | None]]:
+    """One head's records of one program length, in data order, as runs of
+    (count, status, steps, value text): one run per path that decides them."""
+    blocks = []
+    todo = [head]
+    while todo:
+        path = todo.pop()
+        status, steps, value_text, read = paths[path]
+        if read is None and len(path) < length:
+            todo += (path + "1", path + "0")
+            continue
+        if status == STATUS_HALTED_VALID and len(head) + read != length:
             status = STATUS_HALTED_INVALID
-        decided.append((status, steps, value_text))
-    return decided
+        blocks.append((1 << (length - len(path)), status, steps, value_text))
+    return blocks
+
+
+def _derived(census: Census) -> Iterator[tuple[int, str, list]]:
+    """(length, head, ``_blocks``) for each program length of the derived
+    window and each head enrolled at that length, in enumeration order."""
+    if census._window is None:
+        return
+    first, last = census._window
+    sizes = {len(head) for head in census._heads}
+    for length in range(first, last + 1):
+        if length == first or length in sizes:
+            fit = [(h, paths) for h, paths in census._heads.items() if len(h) <= length]
+        for head, paths in fit:
+            yield length, head, _blocks(paths, head, length)
+
+
+def _derived_count(census: Census) -> int:
+    """Number of derived records: each enrolled head's data strings of
+    every length that puts the program in the window."""
+    if census._window is None:
+        return 0
+    first, last = census._window
+    sizes = Counter(map(len, census._heads))
+    return sum(
+        n * ((2 << (last - size)) - (1 << (max(first, size) - size)))
+        for size, n in sizes.items()
+    )
+
+
+def _derived_tally(census: Census) -> tuple[Counter, Counter]:
+    """(records per status, valid halts per program length) of the derived
+    records, counted by read path.  A path decides its extensions of every
+    length in the window, but an abort only the record of its own length.
+    A valid halt is the path itself, one record."""
+    statuses: Counter = Counter()
+    valid: Counter = Counter()
+    if census._window is None:
+        return statuses, valid
+    first, last = census._window
+    shapes = Counter(
+        (len(path), status, read is None, read == len(path) - len(head))
+        for head, paths in census._heads.items()
+        for path, (status, _, _, read) in paths.items()
+    )
+    for (size, status, aborted, whole), n in shapes.items():
+        if aborted:
+            if first <= size <= last:
+                statuses[STATUS_ABORTED] += n
+            continue
+        low = max(first, size)
+        if low > last:
+            continue
+        count = n * ((2 << (last - size)) - (1 << (low - size)))
+        if status == STATUS_HALTED_VALID:
+            if low == size and whole:
+                valid[size] += n
+                statuses[STATUS_HALTED_VALID] += n
+                count -= n
+            status = STATUS_HALTED_INVALID
+        if count:
+            statuses[status] += count
+    return statuses, valid
+
+
+def _materialise(census: Census) -> None:
+    """Write the derived records into the held ones and drop the per-head
+    state; see ``Census``."""
+    records = census._records
+    data: dict[int, list[str]] = {}
+    for length, head, blocks in _derived(census):
+        n = length - len(head)
+        if n not in data:
+            data[n] = _data_strings(n)
+        i = 0
+        for count, status, steps, value_text in blocks:
+            for suffix in data[n][i:i + count]:
+                bits = head + suffix
+                records[bits] = Record(bits, status, steps, value_text)
+            i += count
+    census._window = None
+    census._heads = {}
+
+
+def _settled(paths: dict[str, PathFields]) -> bool:
+    """True when no path of the head can change: none is unknown, and none
+    aborts, whose extensions a larger size cap would run."""
+    return bool(paths) and all(
+        fields[0] != STATUS_UNKNOWN and fields[3] is not None
+        for fields in paths.values()
+    )
 
 
 def _check_version(version: str, digest: str, source: str = "census") -> None:
@@ -272,54 +447,89 @@ def advance(
     jobs: int = 1,
 ) -> Census:
     """Bring the census to stage ``census.stage + stages`` in place, in one
-    pass: the records still unknown and every program newly inside the size
-    cap run once, at that stage's budget.
+    pass at that stage's budget: every head newly inside the size cap runs
+    its read paths, an enrolled head runs only its paths still unknown and
+    the extensions of its aborts, and each held record still unknown runs
+    along its own path.
 
-    The heads may be spread over a pool of ``jobs`` processes; the result is
-    byte-identical either way because each record's fields depend only on
-    its own bits and the budget.
+    The heads may be spread over a pool of ``jobs`` processes, each of which
+    returns one head's paths; the result is byte-identical either way
+    because each path's fields depend only on its own bits and the budget.
     """
     _check_version(census.version, census.config_digest)
     if stages < 1:
         return census
+    if census._window is not None and census._window[1] != census.enrolled_bits:
+        _materialise(census)  # the stage was set by hand
     t = census.stage + stages
-    pending: dict[str, list[Record]] = {}
-    for record in census.records.values():
+    first = max(census.enrolled_bits + 1, MIN_PROGRAM_BITS)
+    size_cap = min(MIN_PROGRAM_BITS + t, census.max_bits)
+    held: dict[str, list[Record]] = {}
+    rewritten = False  # a held record of a program this pass enrols
+    for record in census._records.values():
+        rewritten = rewritten or first <= len(record.bits) <= size_cap
         if record.status == STATUS_UNKNOWN:
             scanned = scan_program(record.bits, 0)
             end = None if type(scanned) is MalformedProgram else scanned[2]
-            pending.setdefault(record.bits[:end], []).append(record)
-    size_cap = min(MIN_PROGRAM_BITS + t, census.max_bits)
-    for head, data in _heads_and_data(size_cap, census.enrolled_bits + 1):
-        bits = head + data  # one string, shared by the key and the record
-        record = census.records[bits] = Record(bits)
-        pending.setdefault(head, []).append(record)
-    work = [(head, tuple(r.bits for r in group), 2**t) for head, group in pending.items()]
+            held.setdefault(record.bits[:end], []).append(record)
+    heads = census._heads
+    if first <= size_cap:
+        census._window = (census._window or (first,))[0], size_cap
+        texts = parseable_texts_upto(max_text_chars(size_cap))
+        if len(texts) != len(heads):
+            # Enrol the new texts' heads; the order stays that of the texts,
+            # which is enumeration order within a program length.
+            census._heads = heads = {h: heads.get(h, {}) for h in map(program_head, texts)}
+    budget = 2**t
+    work = []
+    for head, paths in heads.items():
+        if paths and head not in held and _settled(paths):
+            continue
+        known = {p: f for p, f in paths.items() if f[0] != STATUS_UNKNOWN} if paths else {}
+        programs = tuple(r.bits for r in held[head]) if head in held else ()
+        work.append((head, known, census._window[1] - len(head), programs, budget))
+    for head, group in held.items():
+        if head not in heads:
+            work.append((head, {}, 0, tuple(r.bits for r in group), budget))
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         if pool is None:
             results = map(_decide_head, work)
         else:
             chunk = max(1, len(work) // (jobs * 8))
             results = pool.map(_decide_head, work, chunksize=chunk)
-        for group, decided in zip(pending.values(), results):
-            for record, fields in zip(group, decided):
+        for (head, _, _, _, _), paths in zip(work, results):
+            if head in heads:
+                heads[head] = paths
+            for record in held.get(head, ()):
+                fields = _record_fields(paths, head, record.bits)
                 record.status, record.steps, record.value_text = fields
     census.stage = t
+    if rewritten:
+        _materialise(census)  # rewrites those records in place
     return census
+
+
+def status_counts(census: Census) -> dict[str, int]:
+    """Number of records per status, the derived ones counted by read path."""
+    counts = Counter(record.status for record in census._records.values())
+    counts.update(_derived_tally(census)[0])
+    return dict(counts)
 
 
 def omega_lower_bound(census: Census) -> DyadicRational:
     """Exact sum of 2**-|p| over programs known to halt validly."""
-    lengths = [
+    lengths = Counter(
         len(record.bits)
-        for record in census.records.values()
+        for record in census._records.values()
         if record.status == STATUS_HALTED_VALID
-    ]
+    )
+    lengths.update(_derived_tally(census)[1])
     if not lengths:
         return DyadicRational.zero()
     # One integer sum over the common denominator 2**top.
     top = max(lengths)
-    return DyadicRational(Fraction(sum(1 << (top - n) for n in lengths), 1 << top))
+    total = sum(count << (top - n) for n, count in lengths.items())
+    return DyadicRational(Fraction(total, 1 << top))
 
 
 @dataclass(frozen=True, slots=True)
@@ -391,13 +601,26 @@ def save_census(census: Census, path) -> None:
             fh.write(f"config {census.config_digest}\n")
             fh.write(f"max-bits {census.max_bits}\n")
             fh.write(f"stage {census.stage}\n")
-            fh.write(f"records {len(census.records)}\n")
-            for record in census.records.values():
+            fh.write(f"records {len(census._records) + _derived_count(census)}\n")
+            for record in census._records.values():
                 value = record.value_text if record.value_text is not None else "-"
                 fh.write(
                     f"{bits_to_hex(record.bits)} {len(record.bits)} "
                     f"{record.status} {record.steps} {value}\n"
                 )
+            # A head's lines share its hex; the data hex is shared per length.
+            data_hex: dict[int, list[str]] = {}
+            for length, head, blocks in _derived(census):
+                n = length - len(head)
+                if n not in data_hex:
+                    data_hex[n] = [bits_to_hex(data) for data in _data_strings(n)]
+                head_hex = bits_to_hex(head)
+                i = 0
+                for count, status, steps, value_text in blocks:
+                    value = value_text if value_text is not None else "-"
+                    tail = f" {length} {status} {steps} {value}\n"
+                    fh.write(head_hex + (tail + head_hex).join(data_hex[n][i:i + count]) + tail)
+                    i += count
         os.replace(tmp, path)
     finally:
         # Gone already after a successful replace; left by a failed write.
@@ -451,7 +674,7 @@ def load_census(path) -> Census:
         value_text = (
             value if status in (STATUS_HALTED_VALID, STATUS_HALTED_INVALID) else None
         )
-        if bits in census.records:
+        if bits in census._records:
             raise CorruptFile(f"{path}: duplicate record for {hex_text}/{length_text}")
-        census.records[bits] = Record(bits, status, steps, value_text)
+        census._records[bits] = Record(bits, status, steps, value_text)
     return census

@@ -96,6 +96,39 @@ class MalformedProgram:
 
 Outcome = Union[Halted, AbortOverrun, OutOfTime, MalformedProgram]
 
+# Every run ends in one of these; like the tape, they are built through
+# their slot setters, not the frozen constructor.
+_set_halted_value = Halted.value.__set__
+_set_halted_bits = Halted.bits_consumed.__set__
+_set_halted_steps = Halted.steps.__set__
+_set_halted_emitted = Halted.emitted.__set__
+_set_abort_steps = AbortOverrun.steps.__set__
+_set_abort_emitted = AbortOverrun.emitted.__set__
+_set_timeout_emitted = OutOfTime.emitted.__set__
+
+
+def _halted(value: SExpr, bits_consumed: int, steps: int, emitted: tuple) -> Halted:
+    outcome = _new(Halted)
+    _set_halted_value(outcome, value)
+    _set_halted_bits(outcome, bits_consumed)
+    _set_halted_steps(outcome, steps)
+    _set_halted_emitted(outcome, emitted)
+    return outcome
+
+
+def _aborted(steps: int, emitted: tuple) -> AbortOverrun:
+    outcome = _new(AbortOverrun)
+    _set_abort_steps(outcome, steps)
+    _set_abort_emitted(outcome, emitted)
+    return outcome
+
+
+def _out_of_time(emitted: tuple) -> OutOfTime:
+    outcome = _new(OutOfTime)
+    _set_timeout_emitted(outcome, emitted)
+    return outcome
+
+
 # MalformedProgram reasons.
 NO_SEPARATOR = "NoSeparator"
 BAD_CHAR = "BadChar"
@@ -369,7 +402,7 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
         if op == _EV:
             steps += 1
             if steps > budget:
-                return OutOfTime(tuple(emitted))
+                return _out_of_time(tuple(emitted))
             expr = task[1]
             env = task[2]
             if type(expr) is str:
@@ -405,17 +438,17 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
                     continue
                 if head == "read-bit":
                     if cursor >= nbits:
-                        return AbortOverrun(steps, tuple(emitted))
+                        return _aborted(steps, tuple(emitted))
                     vals.append(bits[cursor])
                     cursor += 1
                     continue
                 if head == "run-remaining":
                     scanned = scan_program(bits, cursor)
                     if type(scanned) is MalformedProgram:
-                        return AbortOverrun(steps, tuple(emitted))
+                        return _aborted(steps, tuple(emitted))
                     inner, _, cursor = scanned
                     if not _defines_then_body(inner):
-                        return AbortOverrun(steps, tuple(emitted))
+                        return _aborted(steps, tuple(emitted))
                     _push_sequence(work, inner, Env({}, None))
                     continue
                 if head == "lambda":
@@ -519,5 +552,5 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
     final = vals.pop()
     if listed_closure or type(final) is Closure:
         final = render_value(final)
-    return Halted(final, cursor - start, steps, tuple(emitted))
+    return _halted(final, cursor - start, steps, tuple(emitted))
 

@@ -104,6 +104,11 @@ class DecodedProgram:
     text: str
 
 
+_set_decoded_prefix = DecodedProgram.prefix.__set__
+_set_decoded_data = DecodedProgram.data.__set__
+_set_decoded_text = DecodedProgram.text.__set__
+
+
 def encode_program(prefix: Sequence[SExpr], data: str = "") -> BinaryProgram:
     """Pack a program: 8 bits per canonical-text character, separator byte,
     then the raw data bits."""
@@ -137,7 +142,12 @@ def decode_program(
     if type(scanned) is MalformedProgram:
         return scanned
     exprs, text, end = scanned
-    return DecodedProgram(exprs, bits[end:], text)
+    # Built through its slot setters, as every run decodes once.
+    decoded = _new(DecodedProgram)
+    _set_decoded_prefix(decoded, exprs)
+    _set_decoded_data(decoded, bits[end:])
+    _set_decoded_text(decoded, text)
+    return decoded
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,15 +166,25 @@ class RunResult:
         )
 
 
+_set_result_outcome = RunResult.outcome.__set__
+_set_result_data_length = RunResult.data_length.__set__
+
+
 def run_program(program: BinaryProgram, budget: int = DEFAULT_BUDGET) -> RunResult:
     """Decode and run one binary program under a step budget of at least 1."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     decoded = decode_program(program)
+    # The result is built through its slot setters, as its outcome is.
+    result = _new(RunResult)
     if type(decoded) is MalformedProgram:
-        return RunResult(decoded, 0)
+        _set_result_outcome(result, decoded)
+        _set_result_data_length(result, 0)
+        return result
     data = decoded.data
-    return RunResult(evaluate(decoded.prefix, _checked_tape(data), budget), len(data))
+    _set_result_outcome(result, evaluate(decoded.prefix, _checked_tape(data), budget))
+    _set_result_data_length(result, len(data))
+    return result
 
 
 def save_program(path, program: BinaryProgram) -> None:

@@ -441,3 +441,41 @@ def test_missing_input_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "eval")
     assert code == 1
     assert "MissingInput" in err
+
+
+# The parent of the per-head census printed this for the 24/10 census.
+OMEGA_24_10_REPORT = """\
+# machine: omegalab-machine-1
+fraction: 32397/2^24
+binary: 0.0000000001111110100011010000000000000000000000000000000000000000
+stage: 10
+max_bits: 24
+decide: {'n_bits': 20, 'target': '253/2^17', 'stop_stage': 10, 'halting': 91, \
+'not_halting_relative': 2730}
+"""
+
+
+def test_census_command_builds_no_record_per_bit_string(capsys, tmp_path, monkeypatch):
+    """The census command decides, saves, counts and sums by head; only
+    reading the file back builds the 55,602 records."""
+    built = []
+    record = dovetail.Record
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(dovetail, "Record", counted)
+    path = str(tmp_path / "c.census")
+    code, out, _ = run_cli(
+        capsys, "census", "--max-bits", "24", "--stages", "10", "--out", path
+    )
+    assert code == 0
+    assert "records: 55602\n" in out
+    assert "statuses: {'halted-invalid': 46410, 'halted-valid': 9192}\n" in out
+    assert built == []
+    code, out, _ = run_cli(
+        capsys, "omega", "--census", path, "--bits", "64", "--decide-bits", "20"
+    )
+    assert (code, out) == (0, OMEGA_24_10_REPORT)
+    assert len(built) == 55602

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_dovetail
 from conftest import DIVERGER_TEXT
 from omegalab import dovetail
 from omegalab.dovetail import (
@@ -619,3 +620,168 @@ def test_read_paths_out_of_time_carried_within_one_call(jobs, tmp_path):
     path = tmp_path / "c.census"
     save_census(advance(census, 1, jobs=jobs), path)
     assert advance(load_census(path), 2, jobs=jobs) == expected
+
+
+# --- the per-head store against the per-record reference --------------------
+#
+# reference_dovetail.py keeps the census that builds and decides one Record
+# per enumerated bit string.  The census under test keeps each head's read
+# paths; its saved bytes, counts and bound are read before its records are,
+# then its records are compared field by field and in order.
+
+
+def _assert_matches_reference(census, reference, tmp_path):
+    ours, theirs = tmp_path / "heads.census", tmp_path / "records.census"
+    save_census(census, ours)
+    save_census(reference, theirs)
+    assert ours.read_bytes() == theirs.read_bytes()
+    statuses = dict(Counter(r.status for r in reference.records.values()))
+    assert dovetail.status_counts(census) == statuses
+    assert omega_lower_bound(census) == omega_lower_bound(reference)
+    fields = [(bits, r.bits, r.status, r.steps, r.value_text)
+              for bits, r in census.records.items()]
+    assert fields == [(bits, r.bits, r.status, r.steps, r.value_text)
+                      for bits, r in reference.records.items()]
+    assert census == reference
+    save_census(census, ours)
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+def _both(census, plan, jobs=1, reference=None):
+    if reference is None:
+        reference = copy.deepcopy(census)
+    for stages in plan:
+        if stages == "read":
+            census.records
+        elif type(stages) is tuple:  # ("stage", k): move both stages by hand
+            census.stage += stages[1]
+            reference.stage += stages[1]
+        else:
+            advance(census, stages, jobs=jobs)
+            reference_dovetail.advance(reference, stages, jobs=jobs)
+    return census, reference
+
+
+@pytest.mark.parametrize("max_bits, plan, jobs", [
+    (20, [6], 1),
+    (20, [6], 2),
+    (20, [1] * 6, 1),
+    (20, [2, 0, 3, 1], 2),
+    (20, [1, "read", 2, "read", 3], 1),
+    (20, [1, ("stage", 2), 1, ("stage", -2), 2], 1),
+    (24, [10], 1),
+])
+def test_enumerated_census_matches_per_record_reference(max_bits, plan, jobs, tmp_path):
+    census, reference = _both(new_census(max_bits), plan, jobs)
+    _assert_matches_reference(census, reference, tmp_path)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("stages", [1, 3])
+@pytest.mark.parametrize("make", [
+    lambda: _hand_enrolled(400, _read_path_bits()),
+    _out_of_time_census,
+])
+def test_held_records_match_per_record_reference(make, stages, jobs, tmp_path):
+    census, reference = _both(make(), [stages], jobs)
+    _assert_matches_reference(census, reference, tmp_path)
+
+
+def _enrol(census, bits, *fields):
+    census.records[bits] = Record(bits, *fields)
+
+
+def test_held_records_of_enrolled_programs_match_per_record_reference(tmp_path):
+    census = new_census(20)
+    # Before any pass: programs of 16, 18 and 20 bits, one of them with
+    # fields no run gives, an undecodable string and an oversized program.
+    _enrol(census, program_head("a") + "01", STATUS_HALTED_VALID, 99, "zz")
+    _enrol(census, program_head("b"))
+    _enrol(census, program_head("(") + "0000")
+    _enrol(census, "0" * 18)
+    _enrol(census, program_head("(read-bit)") + "1")
+    census, reference = _both(census, [1])
+    # The next pass enrols 18 bits: held records there are rewritten in
+    # place, as the per-record census does.
+    census, reference = _both(census, [2], reference=reference)
+    _assert_matches_reference(census, reference, tmp_path)
+    # After a pass: records enrolled by hand, then two more passes.
+    for held in (census, reference):
+        _enrol(held, program_head("(read-bit)") + "01")
+        _enrol(held, program_head("c") + "0000", STATUS_HALTED_VALID, 1, "c")
+    census, reference = _both(census, [1, 1], reference=reference)
+    _assert_matches_reference(census, reference, tmp_path)
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_census_means_the_same_before_and_after_its_records_are_read(
+    read_first, tmp_path
+):
+    def build():
+        census = advance(new_census(20), 6)
+        if read_first:
+            census.records
+        return census
+
+    reference = reference_dovetail.advance(new_census(20), 6)
+    assert build() == reference
+    assert reference == build()
+    assert repr(build()) == repr(reference)
+    census = build()
+    twin = copy.deepcopy(census)
+    assert twin == census == reference
+    path = tmp_path / "c.census"
+    census = build()
+    save_census(census, path)
+    assert load_census(path) == census
+    loaded, again = load_census(path), tmp_path / "again.census"
+    save_census(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    # A deep copy of an unread census keeps its own state.
+    census = build()
+    twin = copy.deepcopy(census)
+    twin.records[program_head("a") + "1111"].steps = 7
+    assert twin != census == reference
+
+
+# Enumerated heads that read bits, stand-ins for the texts of 88 bits and
+# more that no census here reaches: every text padded to one length, the
+# pool replaced and the schedule started at that length.
+_READING_TEXTS = (
+    "(read-bit)",
+    "(join (read-bit) (read-bit))",
+    "(if (= (read-bit) 1) (read-bit) a)",
+    "(define (f) (if (= (read-bit) 1) (f) z)) (f)",
+    "(run-remaining)",
+    # about 57 steps before its read: unknown until budget 2**6
+    "(define (f n) (if (= n ()) (read-bit) (f (tail n)))) (f (' (x x x x x x)))",
+    DIVERGER_TEXT,
+    "(' a) (' b)",
+    "(' a)",
+)
+_PAD = max(map(len, _READING_TEXTS))
+_READING_POOL = tuple(sorted(text.ljust(_PAD) for text in _READING_TEXTS))
+
+
+@pytest.mark.parametrize("plan, jobs", [
+    ([9], 1),
+    ([9], 2),
+    ([1] * 9, 1),
+    ([3, 3, 3], 2),
+    ([2, "read", 2, 5], 1),
+])
+def test_enrolled_heads_that_read_match_per_record_reference(
+    plan, jobs, monkeypatch, tmp_path
+):
+    min_bits = len(program_head(_READING_POOL[0]))
+    for module in (dovetail, reference_dovetail):
+        monkeypatch.setattr(module, "MIN_PROGRAM_BITS", min_bits)
+    monkeypatch.setattr(
+        dovetail, "parseable_texts_upto",
+        lambda k: tuple(text for text in _READING_POOL if len(text) <= k),
+    )
+    census, reference = _both(new_census(min_bits + 6), plan, jobs)
+    assert {r.status for r in reference.records.values()} == {
+        STATUS_HALTED_VALID, STATUS_HALTED_INVALID, STATUS_ABORTED, STATUS_UNKNOWN
+    }
+    _assert_matches_reference(census, reference, tmp_path)

@@ -1,5 +1,6 @@
 """Binary program format and budgeted machine runs."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from omegalab.evaluator import (
     AbortOverrun,
     Halted,
     MalformedProgram,
+    OutOfTime,
     program_head,
     scan_program,
 )
@@ -18,6 +20,7 @@ from omegalab.dovetail import enumerate_programs
 from omegalab.machine import (
     BinaryProgram,
     DecodedProgram,
+    RunResult,
     bits_to_hex,
     config_hash,
     decode_program,
@@ -391,3 +394,28 @@ def test_prefix_free_violation_finder():
 def test_config_hash_is_stable():
     # Census files carry this digest; changing it orphans every saved census.
     assert config_hash() == "f23876a65132"
+
+
+@pytest.mark.parametrize("text, data, budget, outcome", [
+    ("(' a)", "", 100, Halted("a", 0, 1, ())),
+    ("(display (read-bit))", "1", 100, Halted("1", 1, 2, ("1",))),
+    ("(display (read-bit))", "", 100, AbortOverrun(2, ())),
+    ("((lambda (f) (f f)) (lambda (f) (f f)))", "", 50, OutOfTime(())),
+])
+def test_run_values_equal_their_constructed_twins(text, data, budget, outcome):
+    """Outcomes, results and decodings built by their slot setters are the
+    same frozen values as those the constructors build."""
+    program = encode_text(text, data)
+    decoded = decode_program(program)
+    result = run_program(program, budget)
+    twins = [
+        (result.outcome, outcome),
+        (result, RunResult(outcome, len(data))),
+        (decoded, DecodedProgram(decoded.prefix, data, decoded.text)),
+    ]
+    for built, twin in twins:
+        assert type(built) is type(twin)
+        assert built == twin and hash(built) == hash(twin)
+        assert repr(built) == repr(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.__setattr__(dataclasses.fields(built)[0].name, None)
