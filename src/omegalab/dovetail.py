@@ -19,7 +19,8 @@ the end of some record's data.  Every extension of a path inherits the
 outcome of the run that decided it (the halting-prefix pruning of Calude,
 Dinneen and Shu, "Computing a glimpse of randomness", 2002).  The census
 keeps those paths per head and derives a bit string's record from them
-only when its records are read.  ``jobs`` spreads heads over processes.
+only when its records are read; a file saved from them loads back into
+them.  ``jobs`` spreads heads over processes.
 """
 
 from __future__ import annotations
@@ -110,22 +111,27 @@ class Census:
     (status, steps, value text, data bits read; None on an abort).  The
     records of the programs it enrolled follow from those paths and the
     window of program lengths that it enrolled, so none is built.
-    ``records`` holds the records kept one by one: hand-enrolled, loaded,
-    undecodable and oversized ones.  Its first read materialises the derived
-    records into it, in enumeration order, at the positions a per-record
-    census gives them (after the records already held, a held record of an
-    enrolled program rewritten in place), and drops the per-head state.
-    ``save_census``, ``omega_lower_bound`` and ``status_counts`` read the
-    per-head state without materialising.  Equality and repr are those of
+    ``records`` holds the records kept one by one: hand-enrolled,
+    undecodable and oversized ones, and those of a file loaded per record.
+    Its first read materialises the derived records into it, in enumeration
+    order, at the positions a per-record census gives them (after the
+    records already held, a held record of an enrolled program rewritten in
+    place), and drops the per-head state.
+    ``save_census``, ``omega_lower_bound``, ``status_counts``,
+    ``decide_halting_via_omega`` and ``winner`` read the per-head state
+    without materialising.  ``load_census`` puts a file saved from per-head
+    state back into it, and any other file into ``records``; both give the
+    census the file's lines spell out.  Equality and repr are those of
     (version, config digest, max bits, stage, records).
 
     ``winner`` answers from an index of value texts memoised in
-    ``value_index`` and keyed on ``(stage, len(records))``; a lookup under a
-    new key rebuilds it.  So every writer must change the stage or the
-    record count: ``advance`` raises the stage, ``load_census`` builds a new
-    census and enrolling a record grows the count.  Rewriting a record in
-    place changes neither and leaves the index stale.  The memo takes no
-    part in equality or repr and is never saved.
+    ``value_index`` and keyed on the stage and the number of held records;
+    a lookup under a new key rebuilds it from the valid halts.  So every
+    writer must change the stage or the held count: ``advance`` raises the
+    stage, ``load_census`` builds a new census, and enrolling a record
+    materialises the derived ones and grows the count.  Rewriting a held
+    record in place changes neither and leaves the index stale.  The memo
+    takes no part in equality or repr and is never saved.
     """
 
     __slots__ = (
@@ -173,28 +179,52 @@ class Census:
 
     def winner(self, value_text: str) -> str | None:
         """Bits of the shortest program recorded as halting validly with the
-        value, or None; ties go to the earliest record."""
-        key = (self.stage, len(self.records))
+        value, or None; ties go to the earliest record, held records first."""
+        key = (self.stage, len(self._records))
         if self.value_index is None or self.value_index[0] != key:
-            self.value_index = (key, _value_index(self.records))
+            self.value_index = (key, _value_index(_valid_halts(self)))
         return self.value_index[1].get(value_text)
 
 
-def _value_index(records: dict[str, Record]) -> dict[str, str]:
-    """Map each value text to its first shortest halted-valid record's bits.
+def _value_index(halts: dict[str, str]) -> dict[str, str]:
+    """Map each value text to the bits of its first shortest valid halt,
+    given every valid halt's bits and value text in record order.
 
-    Only a strictly shorter record replaces an entry, so among equal lengths
-    the first in insertion order wins: enumeration order for any census
-    that advance built.  halted-invalid records carry a value text too and
-    are left out.
+    Only a strictly shorter halt replaces an entry, so among equal lengths
+    the first in record order wins: enumeration order for any census that
+    advance built, held records first.
     """
     index: dict[str, str] = {}
-    for record in records.values():
-        if record.status == STATUS_HALTED_VALID:
-            best = index.get(record.value_text)
-            if best is None or len(record.bits) < len(best):
-                index[record.value_text] = record.bits
+    for bits, value_text in halts.items():
+        best = index.get(value_text)
+        if best is None or len(bits) < len(best):
+            index[value_text] = bits
     return index
+
+
+def _valid_halts(census: Census) -> dict[str, str]:
+    """Bits to value text of the census's halted-valid records, in record
+    order, without materialising: the held ones, then one per read path
+    whose valid halt read all of the path's data, the record of the path's
+    own bits.  halted-invalid records carry a value text too and are left
+    out."""
+    halts = {
+        bits: record.value_text
+        for bits, record in census._records.items()
+        if record.status == STATUS_HALTED_VALID
+    }
+    if census._window is not None:
+        first, last = census._window
+        derived = sorted(
+            (len(path), i, path, value_text)
+            for i, (head, paths) in enumerate(census._heads.items())
+            for path, (status, _, value_text, read) in paths.items()
+            if status == STATUS_HALTED_VALID
+            and read == len(path) - len(head)
+            and first <= len(path) <= last
+        )
+        halts.update((path, value_text) for _, _, path, value_text in derived)
+    return halts
 
 
 def new_census(max_bits: int) -> Census:
@@ -562,6 +592,10 @@ def decide_halting_via_omega(
     probability, and every program already halted is always labeled
     correctly.
 
+    A program inside the census's derived window is classified from its
+    head's read paths, any other from its held record; one with neither
+    has no record and is not halting.  Nothing is materialised.
+
     A caller that has already summed ``omega_lower_bound(census)`` passes
     it as ``bound`` so that the sum is not made again.
     """
@@ -577,12 +611,16 @@ def decide_halting_via_omega(
         bound = omega_lower_bound(census)
     halting = []
     rest = []
+    first, last = census._window or (0, -1)  # no length derives without one
     for head, data in _heads_and_data(n_bits):
-        record = census.records.get(head + data)
-        if record is not None and record.status == STATUS_HALTED_VALID:
-            halting.append(head + data)
+        bits = head + data
+        paths = census._heads.get(head) if first <= len(bits) <= last else None
+        if paths:
+            status = _record_fields(paths, head, bits)[0]
         else:
-            rest.append(head + data)
+            record = census._records.get(bits)
+            status = record.status if record is not None else None
+        (halting if status == STATUS_HALTED_VALID else rest).append(bits)
     return HaltingDecision(
         n_bits, omega_prefix, census.stage, bound, tuple(halting), tuple(rest)
     )
@@ -591,36 +629,41 @@ def decide_halting_via_omega(
 # --- persistence ----------------------------------------------------------
 
 
+def _census_text(census: Census) -> Iterator[str]:
+    """The census file a piece at a time: the header, each held record's
+    line, then the derived records' lines, one piece per read path."""
+    yield (
+        f"{_CENSUS_MAGIC}\nversion {census.version}\nconfig {census.config_digest}\n"
+        f"max-bits {census.max_bits}\nstage {census.stage}\n"
+        f"records {len(census._records) + _derived_count(census)}\n"
+    )
+    for record in census._records.values():
+        value = record.value_text if record.value_text is not None else "-"
+        yield (
+            f"{bits_to_hex(record.bits)} {len(record.bits)} "
+            f"{record.status} {record.steps} {value}\n"
+        )
+    # A head's lines share its hex; the data hex is shared per length.
+    data_hex: dict[int, list[str]] = {}
+    for length, head, blocks in _derived(census):
+        n = length - len(head)
+        if n not in data_hex:
+            data_hex[n] = [bits_to_hex(data) for data in _data_strings(n)]
+        head_hex = bits_to_hex(head)
+        i = 0
+        for count, status, steps, value_text in blocks:
+            value = value_text if value_text is not None else "-"
+            tail = f" {length} {status} {steps} {value}\n"
+            yield head_hex + (tail + head_hex).join(data_hex[n][i:i + count]) + tail
+            i += count
+
+
 def save_census(census: Census, path) -> None:
     """Write the census as a line-oriented, diffable text file."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(f"{_CENSUS_MAGIC}\n")
-            fh.write(f"version {census.version}\n")
-            fh.write(f"config {census.config_digest}\n")
-            fh.write(f"max-bits {census.max_bits}\n")
-            fh.write(f"stage {census.stage}\n")
-            fh.write(f"records {len(census._records) + _derived_count(census)}\n")
-            for record in census._records.values():
-                value = record.value_text if record.value_text is not None else "-"
-                fh.write(
-                    f"{bits_to_hex(record.bits)} {len(record.bits)} "
-                    f"{record.status} {record.steps} {value}\n"
-                )
-            # A head's lines share its hex; the data hex is shared per length.
-            data_hex: dict[int, list[str]] = {}
-            for length, head, blocks in _derived(census):
-                n = length - len(head)
-                if n not in data_hex:
-                    data_hex[n] = [bits_to_hex(data) for data in _data_strings(n)]
-                head_hex = bits_to_hex(head)
-                i = 0
-                for count, status, steps, value_text in blocks:
-                    value = value_text if value_text is not None else "-"
-                    tail = f" {length} {status} {steps} {value}\n"
-                    fh.write(head_hex + (tail + head_hex).join(data_hex[n][i:i + count]) + tail)
-                    i += count
+            fh.writelines(_census_text(census))
         os.replace(tmp, path)
     finally:
         # Gone already after a successful replace; left by a failed write.
@@ -636,11 +679,112 @@ _STATUSES = {
 }
 
 
+def _path_fields(line: str, data_bits: int) -> PathFields | None:
+    """The fields of a read path from the line of its own bits: a valid
+    halt read all of the path's data, an abort with steps overran it, an
+    abort in 0 steps is malformed and read nothing, and an unknown run read
+    nothing.  None for a line that no read path gives its own bits."""
+    parts = line.split(" ", 4)
+    if len(parts) != 5 or not parts[3].isdigit():
+        return None
+    status, steps = parts[2], int(parts[3])
+    if status == STATUS_HALTED_VALID:
+        return status, steps, parts[4], data_bits
+    if status == STATUS_ABORTED:
+        return status, steps, None, None if steps else 0
+    if status == STATUS_UNKNOWN:
+        return status, steps, None, 0
+    return None
+
+
+def _read_paths(
+    heads: dict[str, dict[str, PathFields]], body: list[str], last: int
+) -> bool:
+    """Fill each head's read paths from a body of derived records of every
+    program length up to ``last``, in enumeration order; False at a line
+    that no read path can have.
+
+    Each path's own line (its length, its head, its data) is found by
+    position, and the path's fields are read from that line alone
+    (``_path_fields``); an abort that overran grows the path both ways while
+    it is shorter than ``last``.
+    """
+    # at[n]: the line of the current head's first record of n bits.  The
+    # lines of a length start after those of the shorter lengths, and each
+    # head's lines after those of the heads ahead of it that fit.
+    sizes = Counter(map(len, heads))
+    at = [0] * (last + 1)
+    for n in range(MIN_PROGRAM_BITS, last):
+        fit = sum(k << (n - size) for size, k in sizes.items() if size <= n)
+        at[n + 1] = at[n] + fit
+    for head, paths in heads.items():
+        todo = [head]
+        while todo:
+            path = todo.pop()
+            n, data = len(path), path[len(head):]
+            fields = _path_fields(body[at[n] + int("0" + data, 2)], len(data))
+            if fields is None:
+                return False
+            paths[path] = fields
+            if fields[3] is None and n < last:
+                todo += (path + "0", path + "1")
+        for n in range(len(head), last + 1):
+            at[n] += 1 << (n - len(head))
+    return True
+
+
+def _writes(census: Census, text: str) -> bool:
+    """True if ``save_census`` writes exactly ``text`` for the census."""
+    at = 0
+    for piece in _census_text(census):
+        if not text.startswith(piece, at):
+            return False
+        at += len(piece)
+    return at == len(text)
+
+
+def _read_heads(census: Census, text: str, body: list[str]) -> bool:
+    """Load a file's body into the census's per-head state if the census
+    could have saved it from that state; True if it did.
+
+    Such a body holds the derived records of the window from the shortest
+    program to ``enrolled_bits`` and no held record, so the enrolled heads
+    follow from the header.  The state is accepted only if saving it gives
+    back the file's ``text`` exactly; otherwise the census is left empty.
+    """
+    last = census.enrolled_bits
+    # A window holds at least the records of one shortest head.  A body
+    # with fewer lines is not a window's, and its texts are not enumerated:
+    # those up to last bits cost about as much as that many lines.
+    if not last or (2 << (last - MIN_PROGRAM_BITS)) - 1 > len(body):
+        return False
+    texts = parseable_texts_upto(max_text_chars(last))
+    heads: dict[str, dict[str, PathFields]] = {program_head(t): {} for t in texts}
+    census._window, census._heads = (MIN_PROGRAM_BITS, last), heads
+    if (
+        _derived_count(census) == len(body)
+        and _read_paths(heads, body, last)
+        and _writes(census, text)
+    ):
+        return True
+    census._window, census._heads = None, {}
+    return False
+
+
 def load_census(path) -> Census:
     """Read a census file; rejects other machine versions and truncated or
-    mangled files, and headers or records no census run can produce."""
+    mangled files, and headers or records no census run can produce.
+
+    A file that ``save_census`` writes from a census's per-head state (an
+    enumerated census with no held record) loads into that state, with no
+    ``Record`` built; ``_read_heads`` accepts it only if saving the state
+    gives the same text back.  Any other file (held records, hand-enrolled
+    or oversized lines, stage 0, a file edited by hand) loads one record
+    per line.  Both give the census that the lines spell out.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     if not lines or lines[0] != _CENSUS_MAGIC:
         raise CorruptFile(f"{path}: not a census file")
     try:
@@ -659,6 +803,8 @@ def load_census(path) -> Census:
     if len(body) != count:
         raise CorruptFile(f"{path}: expected {count} records, found {len(body)}")
     census = Census(version, digest, max_bits, stage)
+    if _read_heads(census, text, body):
+        return census
     for line in body:
         try:
             hex_text, length_text, status, steps_text, value = line.split(" ", 4)

@@ -3,9 +3,10 @@
 ``advance`` builds one ``Record`` for every enumerated bit string, groups
 the records still unknown by head and writes each record's decided fields
 back into it; ``_decide_head`` returns one (status, steps, value text)
-tuple per record.  ``omegalab.dovetail`` keeps each head's read paths
-instead and derives the records from them; this module is its oracle, so
-it stays as it was, not fast.
+tuple per record.  ``load_census`` builds one ``Record`` per line of the
+file.  ``omegalab.dovetail`` keeps each head's read paths instead, derives
+the records from them and loads a file it could have saved into them; this
+module is its oracle, so it stays as it was, not fast.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -13,18 +14,21 @@ from contextlib import nullcontext
 
 from omegalab import sexpr
 from omegalab.dovetail import (
+    _CENSUS_MAGIC,
+    _STATUSES,
     MIN_PROGRAM_BITS,
     STATUS_ABORTED,
     STATUS_HALTED_INVALID,
     STATUS_HALTED_VALID,
     STATUS_UNKNOWN,
     Census,
+    CorruptFile,
     Record,
     _check_version,
     _heads_and_data,
 )
 from omegalab.evaluator import AbortOverrun, Halted, MalformedProgram, scan_program
-from omegalab.machine import _checked_program, run_program
+from omegalab.machine import _checked_program, hex_to_bits, run_program
 
 
 def _decide_head(
@@ -74,6 +78,7 @@ def _decide_head(
         decided.append((status, steps, value_text))
     return decided
 
+
 def advance(
     census: Census,
     stages: int,
@@ -113,4 +118,48 @@ def advance(
             for record, fields in zip(group, decided):
                 record.status, record.steps, record.value_text = fields
     census.stage = t
+    return census
+
+
+def load_census(path) -> Census:
+    """Read a census file; rejects other machine versions and truncated or
+    mangled files, and headers or records no census run can produce."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != _CENSUS_MAGIC:
+        raise CorruptFile(f"{path}: not a census file")
+    try:
+        header = dict(line.split(" ", 1) for line in lines[1:6])
+        version = header["version"]
+        digest = header["config"]
+        max_bits = int(header["max-bits"])
+        stage = int(header["stage"])
+        count = int(header["records"])
+    except (KeyError, ValueError, IndexError) as exc:
+        raise CorruptFile(f"{path}: bad header: {exc}") from None
+    if max_bits < MIN_PROGRAM_BITS or stage < 0:
+        raise CorruptFile(f"{path}: bad header: max-bits {max_bits}, stage {stage}")
+    _check_version(version, digest, f"{path}: census")
+    body = lines[6:]
+    if len(body) != count:
+        raise CorruptFile(f"{path}: expected {count} records, found {len(body)}")
+    census = Census(version, digest, max_bits, stage)
+    for line in body:
+        try:
+            hex_text, length_text, status, steps_text, value = line.split(" ", 4)
+            bits = hex_to_bits(hex_text, int(length_text))
+            steps = int(steps_text)
+        except ValueError as exc:
+            raise CorruptFile(f"{path}: bad record {line!r}: {exc}") from None
+        if status not in _STATUSES:
+            raise CorruptFile(f"{path}: unknown status {status!r}")
+        # No string shorter than one character and the separator decodes.
+        if len(bits) < MIN_PROGRAM_BITS or steps < 0:
+            raise CorruptFile(f"{path}: impossible record {line!r}")
+        value_text = (
+            value if status in (STATUS_HALTED_VALID, STATUS_HALTED_INVALID) else None
+        )
+        if bits in census._records:
+            raise CorruptFile(f"{path}: duplicate record for {hex_text}/{length_text}")
+        census._records[bits] = Record(bits, status, steps, value_text)
     return census

@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, stable output."""
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -456,8 +457,8 @@ decide: {'n_bits': 20, 'target': '253/2^17', 'stop_stage': 10, 'halting': 91, \
 
 
 def test_census_command_builds_no_record_per_bit_string(capsys, tmp_path, monkeypatch):
-    """The census command decides, saves, counts and sums by head; only
-    reading the file back builds the 55,602 records."""
+    """The census command decides, saves, counts and sums by head, and the
+    omega command loads the file back into heads and decides from them."""
     built = []
     record = dovetail.Record
 
@@ -478,4 +479,33 @@ def test_census_command_builds_no_record_per_bit_string(capsys, tmp_path, monkey
         capsys, "omega", "--census", path, "--bits", "64", "--decide-bits", "20"
     )
     assert (code, out) == (0, OMEGA_24_10_REPORT)
-    assert len(built) == 55602
+    assert built == []
+
+
+def test_census_resume_runs_only_the_new_heads(capsys, tmp_path, monkeypatch):
+    """A 24/5 census file loads back into heads, so resuming it to stage 10
+    runs only the 9,101 two-character heads that stage 8 enrols, once each,
+    and writes the pinned 24/10 file."""
+    first, resumed = str(tmp_path / "5.census"), tmp_path / "10.census"
+    code, _, _ = run_cli(
+        capsys, "census", "--max-bits", "24", "--stages", "5", "--out", first
+    )
+    assert code == 0
+    runs = []
+    run_program = dovetail.run_program
+
+    def counted(*args, **kwargs):
+        runs.append(args[0].bits)
+        return run_program(*args, **kwargs)
+
+    monkeypatch.setattr(dovetail, "run_program", counted)
+    code, out, _ = run_cli(
+        capsys, "census", "--resume", first, "--stages", "5", "--out", str(resumed)
+    )
+    assert code == 0
+    assert "records: 55602\n" in out
+    assert len(runs) == len(set(runs)) == 9101
+    assert {len(bits) for bits in runs} == {24}
+    assert hashlib.sha256(resumed.read_bytes()).hexdigest() == (
+        "338453c2b368f9814669f8c9ac709a372d68a5b825c72f55920282f19152656d"
+    )

@@ -40,6 +40,7 @@ from omegalab.evaluator import (
 from omegalab.machine import (
     BinaryProgram,
     DecodedProgram,
+    bits_to_hex,
     decode_program,
     encode_text,
     run_program,
@@ -763,6 +764,19 @@ _PAD = max(map(len, _READING_TEXTS))
 _READING_POOL = tuple(sorted(text.ljust(_PAD) for text in _READING_TEXTS))
 
 
+@pytest.fixture
+def reading_pool(monkeypatch):
+    """Enumerate only the padded reading texts; returns their head size."""
+    min_bits = len(program_head(_READING_POOL[0]))
+    for module in (dovetail, reference_dovetail):
+        monkeypatch.setattr(module, "MIN_PROGRAM_BITS", min_bits)
+    monkeypatch.setattr(
+        dovetail, "parseable_texts_upto",
+        lambda k: tuple(text for text in _READING_POOL if len(text) <= k),
+    )
+    return min_bits
+
+
 @pytest.mark.parametrize("plan, jobs", [
     ([9], 1),
     ([9], 2),
@@ -771,17 +785,253 @@ _READING_POOL = tuple(sorted(text.ljust(_PAD) for text in _READING_TEXTS))
     ([2, "read", 2, 5], 1),
 ])
 def test_enrolled_heads_that_read_match_per_record_reference(
-    plan, jobs, monkeypatch, tmp_path
+    plan, jobs, reading_pool, tmp_path
 ):
-    min_bits = len(program_head(_READING_POOL[0]))
-    for module in (dovetail, reference_dovetail):
-        monkeypatch.setattr(module, "MIN_PROGRAM_BITS", min_bits)
-    monkeypatch.setattr(
-        dovetail, "parseable_texts_upto",
-        lambda k: tuple(text for text in _READING_POOL if len(text) <= k),
-    )
-    census, reference = _both(new_census(min_bits + 6), plan, jobs)
+    census, reference = _both(new_census(reading_pool + 6), plan, jobs)
     assert {r.status for r in reference.records.values()} == {
         STATUS_HALTED_VALID, STATUS_HALTED_INVALID, STATUS_ABORTED, STATUS_UNKNOWN
     }
     _assert_matches_reference(census, reference, tmp_path)
+
+
+# --- loading a file into heads against the per-record loader ---------------
+#
+# reference_dovetail.load_census builds one Record per line.  load_census
+# puts a file that save_census could have written from per-head state into
+# that state; every file must give the reference's census or its error.
+
+
+def _assert_loads_like_reference(path, tmp_path, heads=None, saved=None):
+    """Load path with both loaders: the same census, or the same error.
+    heads, given for a file that save_census wrote, says whether the census
+    must load into heads, and a re-save must give the file back; saved, if
+    given, is the census the file was saved from, whose per-head state the
+    load must give back exactly."""
+    try:
+        reference = reference_dovetail.load_census(path)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            load_census(path)
+        assert str(raised.value) == str(exc)
+        return
+    census = load_census(path)
+    if heads is not None:
+        assert (census._window is not None) == heads
+    if saved is not None:
+        assert (census._window, census._heads) == (saved._window, saved._heads)
+    again = tmp_path / "again.census"
+    save_census(census, again)
+    if heads is not None:
+        assert again.read_bytes() == path.read_bytes()
+    _assert_matches_reference(census, reference, tmp_path)
+
+
+def _saved(census, tmp_path, name="saved.census"):
+    path = tmp_path / name
+    save_census(census, path)
+    return path
+
+
+@pytest.mark.parametrize("max_bits, stages", [(20, 6), (24, 10), (26, 12)])
+def test_pinned_files_load_into_heads_like_reference(max_bits, stages, tmp_path):
+    census = advance(new_census(max_bits), stages)
+    path = _saved(census, tmp_path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_CENSUS_SHA256[max_bits, stages]
+    _assert_loads_like_reference(path, tmp_path, heads=True, saved=census)
+
+
+@pytest.mark.parametrize("max_bits, stages", [(17, 1), (20, 1), (20, 3), (24, 5)])
+def test_census_files_load_into_heads_like_reference(max_bits, stages, tmp_path):
+    census = advance(new_census(max_bits), stages)
+    _assert_loads_like_reference(
+        _saved(census, tmp_path), tmp_path, heads=True, saved=census
+    )
+
+
+def test_stage_zero_file_loads_like_reference(tmp_path):
+    path = _saved(new_census(24), tmp_path)
+    _assert_loads_like_reference(path, tmp_path, heads=False)
+
+
+@pytest.mark.parametrize("plan", [[1], [2], [4], [9], [2, 5]])
+def test_files_of_heads_that_read_load_into_heads_like_reference(
+    plan, reading_pool, tmp_path
+):
+    census = new_census(reading_pool + 6)
+    for stages in plan:
+        advance(census, stages)
+    assert census._window is not None
+    _assert_loads_like_reference(
+        _saved(census, tmp_path), tmp_path, heads=True, saved=census
+    )
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+@pytest.mark.parametrize("make", [
+    lambda: _hand_enrolled(400, _read_path_bits()),
+    _out_of_time_census,
+])
+def test_files_of_held_records_load_like_reference(make, stages, tmp_path, monkeypatch):
+    path = _saved(advance(make(), stages), tmp_path)
+    # The read-path corpus's header puts 400 bits in the schedule; the
+    # loader must see from the line count that the body is not a window's,
+    # not by enumerating every text that fits.
+    def enumerated(max_chars):
+        raise AssertionError(f"texts of up to {max_chars} characters enumerated")
+
+    monkeypatch.setattr(dovetail, "parseable_texts_upto", enumerated)
+    _assert_loads_like_reference(path, tmp_path, heads=False)
+
+
+def _with_held_records():
+    """An enumerated census that also holds an undecodable string, an
+    oversized program and a program outside its window."""
+    census = new_census(24)
+    _enrol(census, "0" * 22)
+    _enrol(census, program_head("(read-bit)") + "1")
+    _enrol(census, program_head("a") + "0000", STATUS_HALTED_VALID, 1, "a")
+    return advance(census, 2)
+
+
+def test_file_with_held_records_loads_like_reference(tmp_path):
+    census = _with_held_records()
+    assert census._window is not None and len(census._records) == 3
+    path = _saved(census, tmp_path)
+    _assert_loads_like_reference(path, tmp_path, heads=False)
+    assert load_census(path) == census
+
+
+def _mangle(lines, rng):
+    """One seeded edit of a body line, two swapped lines, a dropped line
+    or a prepended held line; the record count is fixed after it."""
+    body = range(6, len(lines))
+    kind = rng.randrange(4)
+    if kind == 0:
+        i = rng.choice(body)
+        fields = lines[i].split(" ", 4)
+        j = rng.randrange(5)
+        fields[j] = rng.choice([
+            [f"{int(fields[0], 16) ^ (1 << rng.randrange(4)):0{len(fields[0])}x}",
+             fields[0].upper(), "0" + fields[0]],
+            [str(int(fields[1]) + 1), str(int(fields[1]) - 1), "0" + fields[1]],
+            sorted(dovetail._STATUSES) + ["halted"],
+            [str(int(fields[3]) + 1), "0", "-1", "0" + fields[3], "+" + fields[3]],
+            ["-", "a", "(a b)", fields[4] + " "],
+        ][j])
+        lines[i] = " ".join(fields)
+    elif kind == 1:
+        i, j = rng.sample(body, 2)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == 2:
+        del lines[rng.choice(body)]
+    else:
+        lines.insert(6, f"{bits_to_hex('0' * 18)} 18 unknown 4 -")
+    lines[5] = f"records {len(lines) - 6}"
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("reading", [False, True])
+def test_mangled_files_load_like_reference(reading, seed, tmp_path, request):
+    if reading:
+        min_bits = request.getfixturevalue("reading_pool")
+        census = advance(new_census(min_bits + 6), 9)
+    else:
+        census = advance(new_census(20), 6)
+    rng = random.Random(1600 + seed)
+    lines = _saved(census, tmp_path).read_text().splitlines()
+    for _ in range(8):
+        mangled = list(lines)
+        _mangle(mangled, rng)
+        path = tmp_path / "mangled.census"
+        path.write_text("\n".join(mangled) + "\n")
+        _assert_loads_like_reference(path, tmp_path)
+
+
+# --- deciding halting and finding winners from read paths -------------------
+
+
+def _per_record_decision(census, n_bits):
+    """Oracle: classify each program of at most n_bits by its record."""
+    records = copy.deepcopy(census).records
+    halting, rest = [], []
+    for head, data in dovetail._heads_and_data(n_bits):
+        record = records.get(head + data)
+        if record is not None and record.status == STATUS_HALTED_VALID:
+            halting.append(head + data)
+        else:
+            rest.append(head + data)
+    return tuple(halting), tuple(rest)
+
+
+@pytest.mark.parametrize("n_bits", [16, 18, 21, 23, 24])
+def test_decide_from_paths_matches_per_record_decision(n_bits):
+    census = advance(new_census(24), 5)  # enrolled to 21 bits
+    decision = decide_halting_via_omega(DyadicRational.zero(), n_bits, census)
+    assert census._window is not None  # nothing materialised
+    assert decision.stop_stage == 5
+    expected = _per_record_decision(census, n_bits)
+    assert (decision.halting, decision.not_halting_relative) == expected
+    if n_bits > census.enrolled_bits:
+        beyond = [bits for bits in decision.not_halting_relative
+                  if len(bits) > census.enrolled_bits]
+        assert beyond and not census.records.keys() & set(beyond)
+
+
+@pytest.mark.parametrize("n_bits", [17, 18, 20])
+def test_decide_from_paths_and_held_records(n_bits):
+    census = _with_held_records()  # enrolled to 18 bits, one 20-bit record held
+    decision = decide_halting_via_omega(DyadicRational.zero(), n_bits, census)
+    assert census._window is not None
+    assert (decision.halting, decision.not_halting_relative) == (
+        _per_record_decision(census, n_bits)
+    )
+    assert (program_head("a") + "0000" in decision.halting) == (n_bits >= 20)
+
+
+@pytest.mark.parametrize("extra", [0, 3, 6, 8])
+def test_decide_from_paths_that_read(extra, reading_pool):
+    census = advance(new_census(reading_pool + 8), 4)  # enrolled to +4 bits
+    n_bits = reading_pool + extra
+    decision = decide_halting_via_omega(DyadicRational.zero(), n_bits, census)
+    assert census._window is not None
+    assert (decision.halting, decision.not_halting_relative) == (
+        _per_record_decision(census, n_bits)
+    )
+
+
+def _assert_index_matches_records(census):
+    unread = census._window is not None
+    records = copy.deepcopy(census).records.values()
+    expected = dovetail._value_index({
+        r.bits: r.value_text for r in records if r.status == STATUS_HALTED_VALID
+    })
+    texts = sorted(expected) + ["(no such value)", "-"]
+    assert {text: census.winner(text) for text in texts} == {
+        text: expected.get(text) for text in texts
+    }
+    assert census.value_index[1] == expected
+    assert (census._window is not None) == unread
+
+
+@pytest.mark.parametrize("max_bits, stages", [(20, 6), (24, 10)])
+def test_winner_from_paths_matches_the_records_index(max_bits, stages, tmp_path):
+    census = advance(new_census(max_bits), stages)
+    _assert_index_matches_records(census)
+    _assert_index_matches_records(load_census(_saved(census, tmp_path)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: advance(_hand_enrolled(400, _read_path_bits()), 3),
+    _with_held_records,
+])
+def test_winner_from_held_records_matches_the_records_index(make):
+    _assert_index_matches_records(make())
+
+
+def test_winner_from_paths_that_read_matches_the_records_index(reading_pool):
+    census = advance(new_census(reading_pool + 6), 9)
+    assert {r.status for r in copy.deepcopy(census).records.values()} >= {
+        STATUS_HALTED_VALID, STATUS_UNKNOWN
+    }
+    _assert_index_matches_records(census)
