@@ -167,7 +167,7 @@ def _cmd_census(ns) -> int:
         census = dovetail.new_census(24 if ns.max_bits is None else ns.max_bits)
     dovetail.advance(census, ns.stages, jobs=ns.jobs)
     dovetail.save_census(census, _census_path(ns.out))
-    statuses = dovetail.status_counts(census)
+    statuses, bound = dovetail.tally(census)
     _emit(
         {
             "out": ns.out,
@@ -175,7 +175,7 @@ def _cmd_census(ns) -> int:
             "max_bits": census.max_bits,
             "records": sum(statuses.values()),
             "statuses": dict(sorted(statuses.items())),
-            "omega_lower_bound": str(dovetail.omega_lower_bound(census)),
+            "omega_lower_bound": str(bound),
         },
         ns.format,
     )

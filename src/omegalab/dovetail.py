@@ -17,10 +17,12 @@ head (text and separator) runs once per read path, not each bit string:
 first with no data, then one bit longer only while the run aborts before
 the end of some record's data.  Every extension of a path inherits the
 outcome of the run that decided it (the halting-prefix pruning of Calude,
-Dinneen and Shu, "Computing a glimpse of randomness", 2002).  The census
-keeps those paths per head and derives a bit string's record from them
-only when its records are read; a file saved from them loads back into
-them.  ``jobs`` spreads heads over processes.
+Dinneen and Shu, "Computing a glimpse of randomness", 2002).  An enrolled
+head's runs evaluate its text's parse on the path's data, with no decoding.
+The census keeps those paths per head and derives a bit string's record
+from them only when its records are read; a file saved from them loads
+back into them in one walk that checks the file as it reads it.  ``jobs``
+spreads heads over processes.
 """
 
 from __future__ import annotations
@@ -35,12 +37,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from . import sexpr
+from . import machine, sexpr
 from .dyadic import DyadicRational
 from .evaluator import (
     AbortOverrun,
     Halted,
     MalformedProgram,
+    Outcome,
+    _checked_tape,
     max_text_chars,
     program_head,
     scan_program,
@@ -117,12 +121,14 @@ class Census:
     order, at the positions a per-record census gives them (after the
     records already held, a held record of an enrolled program rewritten in
     place), and drops the per-head state.
-    ``save_census``, ``omega_lower_bound``, ``status_counts``,
+    ``save_census``, ``omega_lower_bound``, ``status_counts``, ``tally``,
     ``decide_halting_via_omega`` and ``winner`` read the per-head state
     without materialising.  ``load_census`` puts a file saved from per-head
-    state back into it, and any other file into ``records``; both give the
-    census the file's lines spell out.  Equality and repr are those of
-    (version, config digest, max bits, stage, records).
+    state back into it, reading each path's fields from the path's own line
+    as one walk renders and checks the file, and any other file into
+    ``records``; both give the census the file's lines spell out.  Equality
+    and repr are those of (version, config digest, max bits, stage,
+    records).
 
     ``winner`` answers from an index of value texts memoised in
     ``value_index`` and keyed on the stage and the number of held records;
@@ -291,8 +297,19 @@ def enumerate_programs(max_bits: int) -> Iterator[BinaryProgram]:
 # --- the dovetail ---------------------------------------------------------
 
 
+def _run_path(bits: str, start: int, exprs, budget: int) -> Outcome:
+    """The outcome of the program ``bits`` at the budget.  Given the parsed
+    text of its head, which ends at ``start``, the data runs on it directly,
+    as ``run_program`` does once it has decoded them; given None (a head
+    that ``advance`` did not enrol), the program is decoded and run."""
+    if exprs is None:
+        return run_program(_checked_program(bits), budget).outcome
+    # machine.evaluate is the name the benchmark tracer wraps.
+    return machine.evaluate(exprs, _checked_tape(bits[start:]), budget)
+
+
 def _decide_head(
-    group: tuple[str, dict[str, PathFields], int, tuple[str, ...], int],
+    group: tuple[str, str | None, dict[str, PathFields], int, tuple[str, ...], int],
 ) -> dict[str, PathFields]:
     """Worker: run one head's read paths; returns the fields of every path.
 
@@ -304,15 +321,18 @@ def _decide_head(
     ``programs`` (records held one by one) follows its own path to its full
     length.  The paths in ``known`` were decided at a smaller budget, and a
     halt or abort at step k is the same at any larger one, so only the other
-    paths run.
+    paths run.  An enrolled head comes with its text, whose parse every run
+    shares; any other head's text is None.
     """
-    head, known, data_bits, programs, budget = group
+    head, text, known, data_bits, programs, budget = group
+    exprs = None if text is None else sexpr.parse_program_cached(text)
+    start = len(head)
     paths = dict(known)
 
     def read(bits: str) -> int | None:
         fields = paths.get(bits)
         if fields is None:
-            out = run_program(_checked_program(bits), budget).outcome
+            out = _run_path(bits, start, exprs, budget)
             if isinstance(out, Halted):
                 value_text = sexpr.print_canonical(out.value)
                 fields = (STATUS_HALTED_VALID, out.steps, value_text, out.bits_consumed)
@@ -329,10 +349,10 @@ def _decide_head(
     todo = [head]
     while todo:
         path = todo.pop()
-        if read(path) is None and len(path) < len(head) + data_bits:
+        if read(path) is None and len(path) < start + data_bits:
             todo += (path + "0", path + "1")
     for bits in programs:
-        end = len(head)
+        end = start
         while read(bits[:end]) is None and end < len(bits):
             end += 1
     return paths
@@ -355,25 +375,30 @@ def _record_fields(
 
 
 def _blocks(
-    paths: dict[str, PathFields], head: str, length: int
-) -> list[tuple[int, str, int, str | None]]:
+    paths: dict[str, PathFields], head: str, length: int, read=None
+) -> Iterator[tuple[int, str, int, str | None]]:
     """One head's records of one program length, in data order, as runs of
-    (count, status, steps, value text): one run per path that decides them."""
-    blocks = []
+    (count, status, steps, value text): one run per path that decides them.
+
+    A path with no fields yet is first reached at its own length, where its
+    run is its own record alone; ``read(data bits)`` gives its fields then.
+    """
     todo = [head]
     while todo:
         path = todo.pop()
-        status, steps, value_text, read = paths[path]
-        if read is None and len(path) < length:
+        fields = paths.get(path)
+        if fields is None:
+            fields = paths[path] = read(len(path) - len(head))
+        status, steps, value_text, bits_read = fields
+        if bits_read is None and len(path) < length:
             todo += (path + "1", path + "0")
             continue
-        if status == STATUS_HALTED_VALID and len(head) + read != length:
+        if status == STATUS_HALTED_VALID and len(head) + bits_read != length:
             status = STATUS_HALTED_INVALID
-        blocks.append((1 << (length - len(path)), status, steps, value_text))
-    return blocks
+        yield 1 << (length - len(path)), status, steps, value_text
 
 
-def _derived(census: Census) -> Iterator[tuple[int, str, list]]:
+def _derived(census: Census, read=None) -> Iterator[tuple[int, str, Iterator]]:
     """(length, head, ``_blocks``) for each program length of the derived
     window and each head enrolled at that length, in enumeration order."""
     if census._window is None:
@@ -384,7 +409,7 @@ def _derived(census: Census) -> Iterator[tuple[int, str, list]]:
         if length == first or length in sizes:
             fit = [(h, paths) for h, paths in census._heads.items() if len(h) <= length]
         for head, paths in fit:
-            yield length, head, _blocks(paths, head, length)
+            yield length, head, _blocks(paths, head, length, read)
 
 
 def _derived_count(census: Census) -> int:
@@ -505,29 +530,31 @@ def advance(
     heads = census._heads
     if first <= size_cap:
         census._window = (census._window or (first,))[0], size_cap
-        texts = parseable_texts_upto(max_text_chars(size_cap))
-        if len(texts) != len(heads):
-            # Enrol the new texts' heads; the order stays that of the texts,
-            # which is enumeration order within a program length.
-            census._heads = heads = {h: heads.get(h, {}) for h in map(program_head, texts)}
+    last = census._window[1] if census._window else 0
+    # The enrolled heads are those of these texts, in the same order, which
+    # is enumeration order within a program length.
+    texts = parseable_texts_upto(max_text_chars(last))
+    if len(texts) != len(heads):
+        census._heads = heads = {h: heads.get(h, {}) for h in map(program_head, texts)}
     budget = 2**t
     work = []
-    for head, paths in heads.items():
+    for (head, paths), text in zip(heads.items(), texts):
         if paths and head not in held and _settled(paths):
             continue
         known = {p: f for p, f in paths.items() if f[0] != STATUS_UNKNOWN} if paths else {}
         programs = tuple(r.bits for r in held[head]) if head in held else ()
-        work.append((head, known, census._window[1] - len(head), programs, budget))
+        work.append((head, text, known, last - len(head), programs, budget))
     for head, group in held.items():
         if head not in heads:
-            work.append((head, {}, 0, tuple(r.bits for r in group), budget))
+            work.append((head, None, {}, 0, tuple(r.bits for r in group), budget))
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         if pool is None:
             results = map(_decide_head, work)
         else:
             chunk = max(1, len(work) // (jobs * 8))
             results = pool.map(_decide_head, work, chunksize=chunk)
-        for (head, _, _, _, _), paths in zip(work, results):
+        for item, paths in zip(work, results):
+            head = item[0]
             if head in heads:
                 heads[head] = paths
             for record in held.get(head, ()):
@@ -541,19 +568,34 @@ def advance(
 
 def status_counts(census: Census) -> dict[str, int]:
     """Number of records per status, the derived ones counted by read path."""
-    counts = Counter(record.status for record in census._records.values())
-    counts.update(_derived_tally(census)[0])
-    return dict(counts)
+    return _status_counts(census, _derived_tally(census)[0])
 
 
 def omega_lower_bound(census: Census) -> DyadicRational:
     """Exact sum of 2**-|p| over programs known to halt validly."""
+    return _bound(census, _derived_tally(census)[1])
+
+
+def tally(census: Census) -> tuple[dict[str, int], DyadicRational]:
+    """``status_counts`` and ``omega_lower_bound`` from one pass over the
+    read paths."""
+    statuses, valid = _derived_tally(census)
+    return _status_counts(census, statuses), _bound(census, valid)
+
+
+def _status_counts(census: Census, derived: Counter) -> dict[str, int]:
+    counts = Counter(record.status for record in census._records.values())
+    counts.update(derived)
+    return dict(counts)
+
+
+def _bound(census: Census, derived: Counter) -> DyadicRational:
     lengths = Counter(
         len(record.bits)
         for record in census._records.values()
         if record.status == STATUS_HALTED_VALID
     )
-    lengths.update(_derived_tally(census)[1])
+    lengths.update(derived)
     if not lengths:
         return DyadicRational.zero()
     # One integer sum over the common denominator 2**top.
@@ -629,9 +671,10 @@ def decide_halting_via_omega(
 # --- persistence ----------------------------------------------------------
 
 
-def _census_text(census: Census) -> Iterator[str]:
+def _census_text(census: Census, read=None) -> Iterator[str]:
     """The census file a piece at a time: the header, each held record's
-    line, then the derived records' lines, one piece per read path."""
+    line, then the derived records' lines, one piece per read-path block.
+    ``read`` goes to ``_blocks``, for paths that have no fields yet."""
     yield (
         f"{_CENSUS_MAGIC}\nversion {census.version}\nconfig {census.config_digest}\n"
         f"max-bits {census.max_bits}\nstage {census.stage}\n"
@@ -645,7 +688,7 @@ def _census_text(census: Census) -> Iterator[str]:
         )
     # A head's lines share its hex; the data hex is shared per length.
     data_hex: dict[int, list[str]] = {}
-    for length, head, blocks in _derived(census):
+    for length, head, blocks in _derived(census, read):
         n = length - len(head)
         if n not in data_hex:
             data_hex[n] = [bits_to_hex(data) for data in _data_strings(n)]
@@ -679,96 +722,90 @@ _STATUSES = {
 }
 
 
-def _path_fields(line: str, data_bits: int) -> PathFields | None:
+class _NotHeads(Exception):
+    """The file is not one that save_census writes from per-head state."""
+
+
+def _path_fields(line: str, data_bits: int) -> PathFields:
     """The fields of a read path from the line of its own bits: a valid
     halt read all of the path's data, an abort with steps overran it, an
     abort in 0 steps is malformed and read nothing, and an unknown run read
-    nothing.  None for a line that no read path gives its own bits."""
+    nothing.  Raises ``_NotHeads`` for a line that no read path gives its
+    own bits, and for a value that ``str.splitlines`` would split."""
     parts = line.split(" ", 4)
-    if len(parts) != 5 or not parts[3].isdigit():
+    if len(parts) == 5 and parts[3].isdigit():
+        status, steps = parts[2], int(parts[3])
+        if status == STATUS_HALTED_VALID and parts[4].isprintable():
+            return status, steps, parts[4], data_bits
+        if status == STATUS_ABORTED:
+            return status, steps, None, None if steps else 0
+        if status == STATUS_UNKNOWN:
+            return status, steps, None, 0
+    raise _NotHeads
+
+
+def _load_heads(text: str) -> Census | None:
+    """The census of a file that ``save_census`` wrote from per-head state,
+    loaded into that state; None for any other file.
+
+    Such a file holds the derived records of the window from the shortest
+    program to ``enrolled_bits`` and no held record, so its enrolled heads
+    follow from the header.  One walk renders the file from them through
+    ``_census_text`` and compares each piece with the text where the last
+    one ended.  The walk first reaches a read path at the path's own
+    length, where its piece is the path's own line: the path's fields are
+    read from that line of the text (``_path_fields``), then checked by the
+    render like every other piece.  No list of lines is built.
+    """
+    body = 0
+    for _ in range(6):  # the header's lines
+        body = text.find("\n", body) + 1
+        if not body:
+            return None
+    try:
+        header = dict(line.split(" ", 1) for line in text[:body].split("\n")[1:6])
+        census = Census(
+            header["version"], header["config"],
+            int(header["max-bits"]), int(header["stage"]),
+        )
+    except (KeyError, ValueError):
         return None
-    status, steps = parts[2], int(parts[3])
-    if status == STATUS_HALTED_VALID:
-        return status, steps, parts[4], data_bits
-    if status == STATUS_ABORTED:
-        return status, steps, None, None if steps else 0
-    if status == STATUS_UNKNOWN:
-        return status, steps, None, 0
-    return None
-
-
-def _read_paths(
-    heads: dict[str, dict[str, PathFields]], body: list[str], last: int
-) -> bool:
-    """Fill each head's read paths from a body of derived records of every
-    program length up to ``last``, in enumeration order; False at a line
-    that no read path can have.
-
-    Each path's own line (its length, its head, its data) is found by
-    position, and the path's fields are read from that line alone
-    (``_path_fields``); an abort that overran grows the path both ways while
-    it is shorter than ``last``.
-    """
-    # at[n]: the line of the current head's first record of n bits.  The
-    # lines of a length start after those of the shorter lengths, and each
-    # head's lines after those of the heads ahead of it that fit.
-    sizes = Counter(map(len, heads))
-    at = [0] * (last + 1)
-    for n in range(MIN_PROGRAM_BITS, last):
-        fit = sum(k << (n - size) for size, k in sizes.items() if size <= n)
-        at[n + 1] = at[n] + fit
-    for head, paths in heads.items():
-        todo = [head]
-        while todo:
-            path = todo.pop()
-            n, data = len(path), path[len(head):]
-            fields = _path_fields(body[at[n] + int("0" + data, 2)], len(data))
-            if fields is None:
-                return False
-            paths[path] = fields
-            if fields[3] is None and n < last:
-                todo += (path + "0", path + "1")
-        for n in range(len(head), last + 1):
-            at[n] += 1 << (n - len(head))
-    return True
-
-
-def _writes(census: Census, text: str) -> bool:
-    """True if ``save_census`` writes exactly ``text`` for the census."""
-    at = 0
-    for piece in _census_text(census):
-        if not text.startswith(piece, at):
-            return False
-        at += len(piece)
-    return at == len(text)
-
-
-def _read_heads(census: Census, text: str, body: list[str]) -> bool:
-    """Load a file's body into the census's per-head state if the census
-    could have saved it from that state; True if it did.
-
-    Such a body holds the derived records of the window from the shortest
-    program to ``enrolled_bits`` and no held record, so the enrolled heads
-    follow from the header.  The state is accepted only if saving it gives
-    back the file's ``text`` exactly; otherwise the census is left empty.
-    """
-    last = census.enrolled_bits
+    if (
+        (census.version, census.config_digest) != (MACHINE_VERSION, config_hash())
+        or census.max_bits < MIN_PROGRAM_BITS
+        or census.stage < 1
+    ):
+        return None
     # A window holds at least the records of one shortest head.  A body
     # with fewer lines is not a window's, and its texts are not enumerated:
-    # those up to last bits cost about as much as that many lines.
-    if not last or (2 << (last - MIN_PROGRAM_BITS)) - 1 > len(body):
-        return False
+    # those up to last bits cost about as much as that many lines.  The
+    # bit lengths are compared first, so that a forged stage or max-bits
+    # never builds a huge power of two.
+    last = census.enrolled_bits
+    newlines = text.count("\n", body)
+    spread = last - MIN_PROGRAM_BITS
+    if spread >= newlines.bit_length() or (2 << spread) - 1 > newlines:
+        return None
     texts = parseable_texts_upto(max_text_chars(last))
-    heads: dict[str, dict[str, PathFields]] = {program_head(t): {} for t in texts}
-    census._window, census._heads = (MIN_PROGRAM_BITS, last), heads
-    if (
-        _derived_count(census) == len(body)
-        and _read_paths(heads, body, last)
-        and _writes(census, text)
-    ):
-        return True
-    census._window, census._heads = None, {}
-    return False
+    census._window = MIN_PROGRAM_BITS, last
+    census._heads = {program_head(t): {} for t in texts}
+
+    at = 0  # where the walk's next piece must start
+
+    def read(data_bits: int) -> PathFields:
+        end = text.find("\n", at)
+        if end < 0:
+            raise _NotHeads
+        return _path_fields(text[at:end], data_bits)
+
+    try:
+        for piece in _census_text(census, read):
+            if not text.startswith(piece, at):
+                return None
+            at += len(piece)
+    except _NotHeads:
+        return None
+    return census if at == len(text) else None
 
 
 def load_census(path) -> Census:
@@ -776,14 +813,18 @@ def load_census(path) -> Census:
     mangled files, and headers or records no census run can produce.
 
     A file that ``save_census`` writes from a census's per-head state (an
-    enumerated census with no held record) loads into that state, with no
-    ``Record`` built; ``_read_heads`` accepts it only if saving the state
-    gives the same text back.  Any other file (held records, hand-enrolled
-    or oversized lines, stage 0, a file edited by hand) loads one record
-    per line.  Both give the census that the lines spell out.
+    enumerated census with no held record) loads into that state in one
+    walk that reads each read path's line and checks every piece of the
+    file as it goes (``_load_heads``), with no ``Record`` and no list of
+    lines built.  Any other file (held records, hand-enrolled or oversized
+    lines, stage 0, a file edited by hand) loads one record per line, with
+    the errors below.  Both give the census that the lines spell out.
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
+    census = _load_heads(text)
+    if census is not None:
+        return census
     lines = text.splitlines()
     if not lines or lines[0] != _CENSUS_MAGIC:
         raise CorruptFile(f"{path}: not a census file")
@@ -803,8 +844,6 @@ def load_census(path) -> Census:
     if len(body) != count:
         raise CorruptFile(f"{path}: expected {count} records, found {len(body)}")
     census = Census(version, digest, max_bits, stage)
-    if _read_heads(census, text, body):
-        return census
     for line in body:
         try:
             hex_text, length_text, status, steps_text, value = line.split(" ", 4)

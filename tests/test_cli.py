@@ -482,6 +482,31 @@ def test_census_command_builds_no_record_per_bit_string(capsys, tmp_path, monkey
     assert built == []
 
 
+def test_census_command_tallies_the_read_paths_once(capsys, tmp_path, monkeypatch):
+    """The census command's status counts and bound come from one pass over
+    the read paths; the omega command sums its bound in one more."""
+    passes = []
+    derived_tally = dovetail._derived_tally
+
+    def counted(census):
+        passes.append(census.stage)
+        return derived_tally(census)
+
+    monkeypatch.setattr(dovetail, "_derived_tally", counted)
+    path = str(tmp_path / "c.census")
+    code, out, _ = run_cli(
+        capsys, "census", "--max-bits", "24", "--stages", "10", "--out", path
+    )
+    assert code == 0
+    assert "omega_lower_bound: 32397/2^24\n" in out
+    assert passes == [10]
+    code, out, _ = run_cli(
+        capsys, "omega", "--census", path, "--bits", "64", "--decide-bits", "20"
+    )
+    assert (code, out) == (0, OMEGA_24_10_REPORT)
+    assert passes == [10, 10]
+
+
 def test_census_resume_runs_only_the_new_heads(capsys, tmp_path, monkeypatch):
     """A 24/5 census file loads back into heads, so resuming it to stage 10
     runs only the 9,101 two-character heads that stage 8 enrols, once each,
@@ -492,13 +517,13 @@ def test_census_resume_runs_only_the_new_heads(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     runs = []
-    run_program = dovetail.run_program
+    run_path = dovetail._run_path
 
-    def counted(*args, **kwargs):
-        runs.append(args[0].bits)
-        return run_program(*args, **kwargs)
+    def counted(bits, *args):
+        runs.append(bits)
+        return run_path(bits, *args)
 
-    monkeypatch.setattr(dovetail, "run_program", counted)
+    monkeypatch.setattr(dovetail, "_run_path", counted)
     code, out, _ = run_cli(
         capsys, "census", "--resume", first, "--stages", "5", "--out", str(resumed)
     )

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -173,14 +174,17 @@ def test_advance_by_zero_stages_runs_nothing(monkeypatch):
 
 
 def _counting_runs(monkeypatch) -> list:
+    """The bit string of every run the dovetail makes, through its one run
+    entry ``_run_path`` (which decodes with ``run_program`` only heads it
+    did not enrol)."""
     runs = []
-    run_program = dovetail.run_program
+    run_path = dovetail._run_path
 
-    def counted(*args, **kwargs):
-        runs.append(args[0].bits)
-        return run_program(*args, **kwargs)
+    def counted(bits, *args):
+        runs.append(bits)
+        return run_path(bits, *args)
 
-    monkeypatch.setattr(dovetail, "run_program", counted)
+    monkeypatch.setattr(dovetail, "_run_path", counted)
     return runs
 
 
@@ -227,6 +231,20 @@ def test_omega_bound_equals_the_per_record_fraction_sum():
             if record.status == STATUS_HALTED_VALID:
                 expected += Fraction(1, 2 ** len(record.bits))
         assert omega_lower_bound(census) == DyadicRational(expected)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: new_census(24),
+    lambda: advance(new_census(20), 6),
+    lambda: _with_held_records(),
+    lambda: advance(_hand_enrolled(400, _read_path_bits()), 1),
+    lambda: advance(_out_of_time_census(), 3),
+])
+def test_tally_is_the_status_counts_and_the_bound(make):
+    census = make()
+    statuses, bound = dovetail.tally(census)
+    assert list(statuses.items()) == list(dovetail.status_counts(census).items())
+    assert bound == omega_lower_bound(census)
 
 
 def test_omega_bound_monotone_and_kraft_over_stages():
@@ -946,6 +964,131 @@ def test_mangled_files_load_like_reference(reading, seed, tmp_path, request):
         path = tmp_path / "mangled.census"
         path.write_text("\n".join(mangled) + "\n")
         _assert_loads_like_reference(path, tmp_path)
+
+
+def _written(tmp_path, text, name="edited.census"):
+    """A file holding exactly text, line endings included."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("ascii"))
+    return path
+
+
+def _heads_text(tmp_path):
+    """The (20, 6) file, saved from per-head state."""
+    return _saved(advance(new_census(20), 6), tmp_path, "heads.census").read_text()
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_other_line_endings_load_like_reference(ending, tmp_path):
+    text = _heads_text(tmp_path).replace("\n", ending)
+    _assert_loads_like_reference(_written(tmp_path, text), tmp_path)
+
+
+def test_file_without_final_newline_loads_like_reference(tmp_path):
+    path = _written(tmp_path, _heads_text(tmp_path)[:-1])
+    _assert_loads_like_reference(path, tmp_path)
+    assert load_census(path)._window is None
+
+
+@pytest.mark.parametrize("tail", ["x", "\n", " ", "\x0c"])
+def test_file_with_text_after_the_last_line_loads_like_reference(tail, tmp_path):
+    path = _written(tmp_path, _heads_text(tmp_path) + tail)
+    _assert_loads_like_reference(path, tmp_path)
+
+
+# Line boundaries of str.splitlines that "\n" is not; the per-record loader
+# splits on them, so a value holding one is never read by path.
+SPLITLINES_ONLY = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("mark", SPLITLINES_ONLY)
+@pytest.mark.parametrize("edit", ["in-value", "in-value-counted", "joins-lines"])
+def test_line_boundary_inside_a_value_loads_like_reference(mark, edit, tmp_path):
+    """The first one-character head that halts validly gets the mark inside
+    the value on each of its lines, so that they still render alike, with
+    the header's count kept or raised to what splitlines counts; or the
+    mark replaces the newline after the head's own line, so that
+    splitlines still sees every line."""
+    lines = _heads_text(tmp_path).split("\n")
+    i = next(j for j, line in enumerate(lines) if " 16 halted-valid " in line)
+    if edit == "joins-lines":
+        lines[i:i + 2] = [lines[i] + mark + lines[i + 1]]
+    else:
+        head_hex = lines[i].split()[0]
+        marked = [j for j, line in enumerate(lines) if line.startswith(head_hex)]
+        for j in marked:
+            lines[j] += mark + "b"
+        if edit == "in-value-counted":
+            lines[5] = f"records {len(lines) - 7 + len(marked)}"
+    _assert_loads_like_reference(_written(tmp_path, "\n".join(lines)), tmp_path)
+
+
+@pytest.mark.parametrize("delta", [-1, 1, 1 << 40])
+def test_header_count_that_disagrees_with_the_body(delta, tmp_path):
+    lines = _heads_text(tmp_path).split("\n")
+    lines[5] = f"records {int(lines[5].split()[1]) + delta}"
+    path = _written(tmp_path, "\n".join(lines))
+    with pytest.raises(CorruptFile, match="expected"):
+        load_census(path)
+    _assert_loads_like_reference(path, tmp_path)
+
+
+@pytest.mark.parametrize("line, value", [
+    (1, "version omegalab-machine-0"),
+    (2, "config 000000000000"),
+])
+def test_heads_file_of_another_machine_raises_version_mismatch(line, value, tmp_path):
+    lines = _heads_text(tmp_path).split("\n")
+    lines[line] = value
+    path = _written(tmp_path, "\n".join(lines))
+    with pytest.raises(VersionMismatch):
+        load_census(path)
+    _assert_loads_like_reference(path, tmp_path)
+
+
+@pytest.mark.parametrize("exponent", [6, 12, 100])
+@pytest.mark.parametrize("body", [0, 2])
+def test_header_with_a_huge_stage_loads_quickly(exponent, body, tmp_path):
+    """max-bits and stage of 10**12 put about 10**12 bits in the schedule;
+    the loader must see from the line count that the body is no window's
+    without building 2**(10**12), and load the header's census."""
+    n = 10 ** exponent
+    records = [f"{bits_to_hex('1' * 17)} 17 unknown 4 -",
+               f"{bits_to_hex('1' * 18)} 18 aborted 0 -"][:body]
+    text = (
+        f"{dovetail._CENSUS_MAGIC}\nversion omegalab-machine-1\n"
+        f"config {dovetail.config_hash()}\nmax-bits {n}\nstage {n}\n"
+        f"records {body}\n" + "".join(line + "\n" for line in records)
+    )
+    path = _written(tmp_path, text)
+    started = time.perf_counter()
+    census = load_census(path)
+    assert time.perf_counter() - started < 1.0
+    assert (census.max_bits, census.stage, census._window) == (n, n, None)
+    assert [len(bits) for bits in census.records] == [17, 18][:body]
+    _assert_loads_like_reference(path, tmp_path, heads=False)
+
+
+@pytest.mark.parametrize("reading", [False, True])
+def test_heads_file_reads_each_path_line_once(reading, tmp_path, monkeypatch, request):
+    """One walk: each read path's fields are read once, from its own line,
+    and the census holds exactly the paths read."""
+    if reading:
+        saved = advance(new_census(request.getfixturevalue("reading_pool") + 6), 9)
+    else:
+        saved = advance(new_census(20), 6)
+    read = []
+    path_fields = dovetail._path_fields
+
+    def counted(line, data_bits):
+        read.append(line)
+        return path_fields(line, data_bits)
+
+    monkeypatch.setattr(dovetail, "_path_fields", counted)
+    census = load_census(_saved(saved, tmp_path))
+    paths = [path for paths in census._heads.values() for path in paths]
+    assert len(read) == len(set(read)) == len(paths)
+    assert census._heads == saved._heads
 
 
 # --- deciding halting and finding winners from read paths -------------------
