@@ -45,6 +45,7 @@ from .evaluator import (
     MalformedProgram,
     Outcome,
     _checked_tape,
+    head_hex,
     max_text_chars,
     program_head,
     scan_program,
@@ -398,18 +399,22 @@ def _blocks(
         yield 1 << (length - len(path)), status, steps, value_text
 
 
-def _derived(census: Census, read=None) -> Iterator[tuple[int, str, Iterator]]:
-    """(length, head, ``_blocks``) for each program length of the derived
-    window and each head enrolled at that length, in enumeration order."""
+def _derived(census: Census) -> Iterator[tuple[int, Iterator[tuple[str, dict, str]]]]:
+    """(length, (head, paths, text) of each head enrolled at that length, in
+    enumeration order) for each program length of the derived window.  The
+    heads that fit are kept as three lists, not as a tuple per head for the
+    garbage collector to walk."""
     if census._window is None:
         return
     first, last = census._window
+    texts = parseable_texts_upto(max_text_chars(last))
     sizes = {len(head) for head in census._heads}
     for length in range(first, last + 1):
         if length == first or length in sizes:
-            fit = [(h, paths) for h, paths in census._heads.items() if len(h) <= length]
-        for head, paths in fit:
-            yield length, head, _blocks(paths, head, length, read)
+            keep = [len(head) <= length for head in census._heads]
+            columns = (census._heads, census._heads.values(), texts)
+            fit = [list(itertools.compress(column, keep)) for column in columns]
+        yield length, zip(*fit, strict=True)
 
 
 def _derived_count(census: Census) -> int:
@@ -465,16 +470,17 @@ def _materialise(census: Census) -> None:
     state; see ``Census``."""
     records = census._records
     data: dict[int, list[str]] = {}
-    for length, head, blocks in _derived(census):
-        n = length - len(head)
-        if n not in data:
-            data[n] = _data_strings(n)
-        i = 0
-        for count, status, steps, value_text in blocks:
-            for suffix in data[n][i:i + count]:
-                bits = head + suffix
-                records[bits] = Record(bits, status, steps, value_text)
-            i += count
+    for length, fit in _derived(census):
+        for head, paths, _ in fit:
+            n = length - len(head)
+            if n not in data:
+                data[n] = _data_strings(n)
+            i = 0
+            for count, status, steps, value_text in _blocks(paths, head, length):
+                for suffix in data[n][i:i + count]:
+                    bits = head + suffix
+                    records[bits] = Record(bits, status, steps, value_text)
+                i += count
     census._window = None
     census._heads = {}
 
@@ -674,7 +680,9 @@ def decide_halting_via_omega(
 def _census_text(census: Census, read=None) -> Iterator[str]:
     """The census file a piece at a time: the header, each held record's
     line, then the derived records' lines, one piece per read-path block.
-    ``read`` goes to ``_blocks``, for paths that have no fields yet."""
+    At a head's own length the block is one line, the fields of the head's
+    own path.  ``read(data bits)`` gives the fields of a path that has none
+    yet, which the walk first reaches at the path's own length."""
     yield (
         f"{_CENSUS_MAGIC}\nversion {census.version}\nconfig {census.config_digest}\n"
         f"max-bits {census.max_bits}\nstage {census.stage}\n"
@@ -688,17 +696,25 @@ def _census_text(census: Census, read=None) -> Iterator[str]:
         )
     # A head's lines share its hex; the data hex is shared per length.
     data_hex: dict[int, list[str]] = {}
-    for length, head, blocks in _derived(census, read):
-        n = length - len(head)
-        if n not in data_hex:
-            data_hex[n] = [bits_to_hex(data) for data in _data_strings(n)]
-        head_hex = bits_to_hex(head)
-        i = 0
-        for count, status, steps, value_text in blocks:
-            value = value_text if value_text is not None else "-"
-            tail = f" {length} {status} {steps} {value}\n"
-            yield head_hex + (tail + head_hex).join(data_hex[n][i:i + count]) + tail
-            i += count
+    for length, fit in _derived(census):
+        for head, paths, text in fit:
+            prefix = head_hex(text)
+            n = length - len(head)
+            if not n:  # one line, the head's own path: a valid halt read no data
+                if head not in paths:
+                    paths[head] = read(0)
+                status, steps, value_text, _ = paths[head]
+                value = value_text if value_text is not None else "-"
+                yield f"{prefix} {length} {status} {steps} {value}\n"
+                continue
+            if n not in data_hex:
+                data_hex[n] = [bits_to_hex(data) for data in _data_strings(n)]
+            i = 0
+            for count, status, steps, value_text in _blocks(paths, head, length, read):
+                value = value_text if value_text is not None else "-"
+                tail = f" {length} {status} {steps} {value}\n"
+                yield prefix + (tail + prefix).join(data_hex[n][i:i + count]) + tail
+                i += count
 
 
 def save_census(census: Census, path) -> None:
@@ -720,6 +736,16 @@ _STATUSES = {
     STATUS_ABORTED,
     STATUS_UNKNOWN,
 }
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _decimal(text: str) -> int:
+    """``int(text)``, which must spell it: no sign but a minus, no
+    underscore and no leading zero, as ``save_census`` writes numbers."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"not a canonical decimal: {text!r}")
+    return value
 
 
 class _NotHeads(Exception):
@@ -810,7 +836,8 @@ def _load_heads(text: str) -> Census | None:
 
 def load_census(path) -> Census:
     """Read a census file; rejects other machine versions and truncated or
-    mangled files, and headers or records no census run can produce.
+    mangled files, headers or records no census run can produce, and
+    numbers or hex spelled otherwise than ``save_census`` spells them.
 
     A file that ``save_census`` writes from a census's per-head state (an
     enumerated census with no held record) loads into that state in one
@@ -832,9 +859,9 @@ def load_census(path) -> Census:
         header = dict(line.split(" ", 1) for line in lines[1:6])
         version = header["version"]
         digest = header["config"]
-        max_bits = int(header["max-bits"])
-        stage = int(header["stage"])
-        count = int(header["records"])
+        max_bits = _decimal(header["max-bits"])
+        stage = _decimal(header["stage"])
+        count = _decimal(header["records"])
     except (KeyError, ValueError, IndexError) as exc:
         raise CorruptFile(f"{path}: bad header: {exc}") from None
     if max_bits < MIN_PROGRAM_BITS or stage < 0:
@@ -847,8 +874,10 @@ def load_census(path) -> Census:
     for line in body:
         try:
             hex_text, length_text, status, steps_text, value = line.split(" ", 4)
-            bits = hex_to_bits(hex_text, int(length_text))
-            steps = int(steps_text)
+            if not _HEX_DIGITS.issuperset(hex_text):
+                raise ValueError(f"not lowercase hex: {hex_text!r}")
+            bits = hex_to_bits(hex_text, _decimal(length_text))
+            steps = _decimal(steps_text)
         except ValueError as exc:
             raise CorruptFile(f"{path}: bad record {line!r}: {exc}") from None
         if status not in _STATUSES:

@@ -24,7 +24,8 @@ too deeply for Python's own.
 This module also owns the fixed binary program format, because
 ``(run-remaining)`` reads embedded programs from the tape: 8 bits per
 character of program text, the separator byte 0x00, then raw data bits.
-``program_head`` writes the text part and ``scan_program`` reads it back.
+``program_head`` writes the text part (``head_hex`` spells it in hex) and
+``scan_program`` reads it back.
 """
 
 from __future__ import annotations
@@ -152,6 +153,12 @@ def program_head(text: str) -> str:
     # keeps the text's leading zero bits; its "0b1" is cut off.
     raw = b"\x01" + text.encode("latin-1") + b"\x00"
     return bin(int.from_bytes(raw, "big"))[3:]
+
+
+def head_hex(text: str) -> str:
+    """``program_head(text)`` in hex: the text's bytes, then the separator
+    byte, with no conversion to bits."""
+    return text.encode("latin-1").hex() + "00"
 
 
 def max_text_chars(n_bits: int) -> int:

@@ -119,7 +119,7 @@ def parse_one(text: str) -> SExpr:
 def _check_atom(name: str) -> None:
     if name == QUOTE_ATOM:
         return
-    if not name or any(c not in ATOM_CHARS for c in name):
+    if not name or not ATOM_CHARS.issuperset(name):
         raise ValueError(f"not a printable atom name: {name!r}")
 
 
@@ -158,10 +158,13 @@ def print_canonical(x: SExpr) -> str:
     interchange format: parse(print_canonical(x)) == (x,) unless x holds a
     quote atom outside operator position, which reads back as sugar.
 
-    A list of atoms is printed whole.  Any other list, or one holding a bad
-    atom, is walked item by item, so the first bad node in print order
-    raises.
+    An atom is checked and returned.  A list of atoms is printed whole.
+    Any other list, or one holding a bad atom, is walked item by item, so
+    the first bad node in print order raises.
     """
+    if type(x) is str:
+        _check_atom(x)
+        return x
     parts: list[str] = []
     stack: list[tuple] = [(x, False)]
     while stack:

@@ -4,11 +4,13 @@
 the records still unknown by head and writes each record's decided fields
 back into it; ``_decide_head`` returns one (status, steps, value text)
 tuple per record.  ``load_census`` builds one ``Record`` per line of the
-file.  ``omegalab.dovetail`` keeps each head's read paths instead, derives
-the records from them and loads a file it could have saved into them; this
+file, whose numbers and hex must be spelled as ``save_census`` spells them.
+``omegalab.dovetail`` keeps each head's read paths instead, derives the
+records from them and loads a file it could have saved into them; this
 module is its oracle, so it stays as it was, not fast.
 """
 
+import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
@@ -121,6 +123,15 @@ def advance(
     return census
 
 
+def _decimal(text):
+    """A field's integer, spelled with no sign but a minus, no underscore
+    and no leading zero."""
+    value = int(text)
+    if not re.fullmatch("0|-?[1-9][0-9]*", text):
+        raise ValueError(f"not a canonical decimal: {text!r}")
+    return value
+
+
 def load_census(path) -> Census:
     """Read a census file; rejects other machine versions and truncated or
     mangled files, and headers or records no census run can produce."""
@@ -132,9 +143,9 @@ def load_census(path) -> Census:
         header = dict(line.split(" ", 1) for line in lines[1:6])
         version = header["version"]
         digest = header["config"]
-        max_bits = int(header["max-bits"])
-        stage = int(header["stage"])
-        count = int(header["records"])
+        max_bits = _decimal(header["max-bits"])
+        stage = _decimal(header["stage"])
+        count = _decimal(header["records"])
     except (KeyError, ValueError, IndexError) as exc:
         raise CorruptFile(f"{path}: bad header: {exc}") from None
     if max_bits < MIN_PROGRAM_BITS or stage < 0:
@@ -147,8 +158,10 @@ def load_census(path) -> Census:
     for line in body:
         try:
             hex_text, length_text, status, steps_text, value = line.split(" ", 4)
-            bits = hex_to_bits(hex_text, int(length_text))
-            steps = int(steps_text)
+            if not re.fullmatch("[0-9a-f]*", hex_text):
+                raise ValueError(f"not lowercase hex: {hex_text!r}")
+            bits = hex_to_bits(hex_text, _decimal(length_text))
+            steps = _decimal(steps_text)
         except ValueError as exc:
             raise CorruptFile(f"{path}: bad record {line!r}: {exc}") from None
         if status not in _STATUSES:

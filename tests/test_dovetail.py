@@ -491,6 +491,55 @@ def test_load_rejects_negative_steps(tmp_path):
         load_census(_forge(tmp_path, edit))
 
 
+# Record fields that bytes.fromhex or int take and save_census never
+# writes: (field, respelling).  The hex field's line has a letter in it.
+_RESPELT = {
+    "hex-tab-inside": (0, lambda hex_text: hex_text[:2] + "\t" + hex_text[2:]),
+    "hex-tab-before": (0, lambda hex_text: "\t" + hex_text),
+    "hex-uppercase": (0, str.upper),
+    "length-plus": (1, lambda n: "+" + n),
+    "length-zero-underscore": (1, lambda n: "0_" + n),
+    "length-underscore": (1, lambda n: n[0] + "_" + n[1:]),
+    "length-leading-zero": (1, lambda n: "0" + n),
+    "steps-plus": (3, lambda n: "+" + n),
+    "steps-zero-underscore": (3, lambda n: "0_" + n),
+    "steps-leading-zero": (3, lambda n: "0" + n),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(_RESPELT))
+def test_load_rejects_record_fields_that_save_census_never_spells(spelling, tmp_path):
+    field, respell = _RESPELT[spelling]
+    census = advance(new_census(17), 1)
+    census.records  # held records, so that the file is read per record
+    path = _saved(census, tmp_path)
+    lines = path.read_text().split("\n")
+    i = next(j for j in range(6, len(lines)) if set("abcdef") & set(lines[j][:6]))
+    fields = lines[i].split(" ", 4)
+    fields[field] = respell(fields[field])
+    lines[i] = " ".join(fields)
+    path.write_text("\n".join(lines))
+    with pytest.raises(CorruptFile, match="not lowercase hex|not a canonical decimal"):
+        load_census(path)
+    _assert_loads_like_reference(path, tmp_path)
+
+
+@pytest.mark.parametrize("line, respell", [
+    (3, lambda n: "+" + n),
+    (4, lambda n: "0" + n),
+    (5, lambda n: n[0] + "_" + n[1:]),
+], ids=["max-bits-plus", "stage-leading-zero", "records-underscore"])
+def test_load_rejects_header_numbers_that_save_census_never_spells(line, respell, tmp_path):
+    path = _saved(advance(new_census(17), 1), tmp_path)
+    lines = path.read_text().split("\n")
+    name, value = lines[line].split(" ")
+    lines[line] = f"{name} {respell(value)}"
+    path.write_text("\n".join(lines))
+    with pytest.raises(CorruptFile, match="bad header: not a canonical decimal"):
+        load_census(path)
+    _assert_loads_like_reference(path, tmp_path)
+
+
 def test_load_rejects_record_shorter_than_any_program(tmp_path):
     # a one-bit "program" marked halted-valid would add 1/2 to the bound
     def edit(lines):
@@ -782,17 +831,23 @@ _PAD = max(map(len, _READING_TEXTS))
 _READING_POOL = tuple(sorted(text.ljust(_PAD) for text in _READING_TEXTS))
 
 
-@pytest.fixture
-def reading_pool(monkeypatch):
-    """Enumerate only the padded reading texts; returns their head size."""
-    min_bits = len(program_head(_READING_POOL[0]))
+def _use_pool(monkeypatch, pool):
+    """Enumerate only the texts of the pool, all of one length; returns
+    their head size."""
+    min_bits = len(program_head(pool[0]))
     for module in (dovetail, reference_dovetail):
         monkeypatch.setattr(module, "MIN_PROGRAM_BITS", min_bits)
     monkeypatch.setattr(
         dovetail, "parseable_texts_upto",
-        lambda k: tuple(text for text in _READING_POOL if len(text) <= k),
+        lambda k: tuple(text for text in pool if len(text) <= k),
     )
     return min_bits
+
+
+@pytest.fixture
+def reading_pool(monkeypatch):
+    """Enumerate only the padded reading texts; returns their head size."""
+    return _use_pool(monkeypatch, _READING_POOL)
 
 
 @pytest.mark.parametrize("plan, jobs", [
@@ -900,6 +955,39 @@ def test_files_of_held_records_load_like_reference(make, stages, tmp_path, monke
 
     monkeypatch.setattr(dovetail, "parseable_texts_upto", enumerated)
     _assert_loads_like_reference(path, tmp_path, heads=False)
+
+
+# The reading texts and the long countdown, padded to one length: at their
+# own length their heads abort on a read, stay unknown (the countdown until
+# budget 2**10, the diverger always) or are malformed.  The digests are
+# those of the files written before a head's own line came straight from
+# the head's own path.
+_OWN_LINE_POOL = tuple(sorted(
+    text.ljust(len(COUNTDOWN_TEXT)) for text in _READING_TEXTS + (COUNTDOWN_TEXT,)
+))
+_OWN_LINE_SHA256 = {
+    1: "f3c064b1b71188f27161d03f3d1b5ffddaad50cb0dfc0a9c9380816291248c4c",
+    4: "c27e4f55e03e389935d2bdcbf5df0f39e778949b01e48815b43fbdacdea8d2b5",
+    10: "3f05aec01e7c6d917804de689b59171cbe8a727a40f6c7d6cf670f9f8d825e62",
+}
+
+
+@pytest.mark.parametrize("stages", sorted(_OWN_LINE_SHA256))
+def test_own_length_lines_of_heads_that_abort_or_run_long(stages, monkeypatch, tmp_path):
+    min_bits = _use_pool(monkeypatch, _OWN_LINE_POOL)
+    census, reference = _both(new_census(min_bits + 3), [stages])
+    path = _saved(census, tmp_path)
+    own = {
+        (status, steps == "0")
+        for _, length, status, steps, _ in (
+            line.split(" ", 4) for line in path.read_text().splitlines()[6:]
+        )
+        if int(length) == min_bits
+    }
+    assert {(STATUS_ABORTED, False), (STATUS_ABORTED, True), (STATUS_UNKNOWN, False)} <= own
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _OWN_LINE_SHA256[stages]
+    _assert_loads_like_reference(path, tmp_path, heads=True, saved=census)
+    _assert_matches_reference(census, reference, tmp_path)
 
 
 def _with_held_records():

@@ -13,10 +13,11 @@ from omegalab.evaluator import (
     Halted,
     MalformedProgram,
     OutOfTime,
+    head_hex,
     program_head,
     scan_program,
 )
-from omegalab.dovetail import enumerate_programs
+from omegalab.dovetail import enumerate_programs, parseable_texts_upto
 from omegalab.machine import (
     BinaryProgram,
     DecodedProgram,
@@ -181,6 +182,15 @@ def test_program_head_matches_per_character_reference():
 def test_program_head_rejects_characters_wider_than_a_byte(text):
     with pytest.raises(ValueError):
         program_head(text)
+    with pytest.raises(ValueError):
+        head_hex(text)
+
+
+def test_head_hex_is_the_hex_of_the_head():
+    texts = parseable_texts_upto(2)
+    assert len(texts) == 9192
+    for text in texts:
+        assert head_hex(text) == bits_to_hex(program_head(text)), text
 
 
 def test_parse_memo_is_bounded():

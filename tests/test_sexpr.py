@@ -246,3 +246,18 @@ def test_print_canonical_errors_match_per_node_reference():
         if type(expected) is tuple:
             failures.add(expected[0])
     assert failures == {TypeError, ValueError}
+
+
+def test_print_canonical_of_an_atom_matches_the_walk():
+    """Every string of at most two characters of one byte each, the quote
+    atom and values of other types: the same text, or the same exception
+    type and message, as the node-by-node walk."""
+    chars = [chr(c) for c in range(256)]
+    cases = [""] + chars + ["".join(pair) for pair in itertools.product(chars, repeat=2)]
+    cases += [QUOTE_ATOM, "a" * 1000, 7, None, b"a", ["a"], type("Name", (str,), {})("a")]
+    printed = set()
+    for x in cases:
+        expected = _printed(reference_format.print_canonical, x)
+        assert _printed(print_canonical, x) == expected, repr(x)
+        printed.add(type(expected))
+    assert printed == {str, tuple}
