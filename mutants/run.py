@@ -76,6 +76,38 @@ MUTANTS = (
         "n * ((2 << (last - size)) - 1)",
         ("tests/test_dovetail.py", "-k", "matches_per_record_reference"),
     ),
+    Mutant(
+        "record-fields-every-halt-valid",
+        "dovetail.py",
+        "    if status == STATUS_HALTED_VALID and read != len(data):\n"
+        "        status = STATUS_HALTED_INVALID\n"
+        "    return status, steps, value_text",
+        "    return status, steps, value_text",
+        ("tests/test_dovetail.py", "-k", "read_paths_match or decide_from_paths"),
+    ),
+    Mutant(
+        "held-walk-first-path",
+        "dovetail.py",
+        "        while read(data[:end]) is None and end < len(data):\n"
+        "            end += 1",
+        "        read(data[:end])",
+        ("tests/test_dovetail.py", "-k", "share_their_texts"),
+    ),
+    Mutant(
+        "valid-halts-any-status",
+        "dovetail.py",
+        "            if status == STATUS_HALTED_VALID\n"
+        "            and first <= (size",
+        "            if first <= (size",
+        ("tests/test_dovetail.py", "-k", "winner_from_paths_that_read"),
+    ),
+    Mutant(
+        "program-heads-no-separator",
+        "evaluator.py",
+        'bits = program_head("\\x00".join(texts))',
+        'bits = program_head("".join(texts))',
+        ("tests/test_machine.py", "-k", "program_heads"),
+    ),
 )
 
 
@@ -136,7 +168,7 @@ def main(names: list[str]) -> int:
                     print(f"error: {mutant.name}: pytest exit {result.returncode}\n"
                           f"{result.stdout}{result.stderr}")
                     return 2
-                print(f"{mutant.name:28} {seconds:5.1f} s  {verdict}", flush=True)
+                print(f"{mutant.name:31} {seconds:5.1f} s  {verdict}", flush=True)
         except LookupError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -13,16 +13,16 @@ budget, so statuses never change once decided and the census after stage t
 is a pure function of t: ``advance`` computes it in one pass at ``2**t``.
 
 A run depends on its data only through the bits it reads, so each pending
-head (text and separator) runs once per read path, not each bit string:
-first with no data, then one bit longer only while the run aborts before
-the end of some record's data.  Every extension of a path inherits the
-outcome of the run that decided it (the halting-prefix pruning of Calude,
-Dinneen and Shu, "Computing a glimpse of randomness", 2002).  An enrolled
-head's runs evaluate its text's parse on the path's data, with no decoding.
-The census keeps those paths per head and derives a bit string's record
-from them only when its records are read; a file saved from them loads
-back into them in one walk that checks the file as it reads it.  ``jobs``
-spreads heads over processes.
+text runs once per read path, not once per bit string: first with no data,
+then one bit longer only while the run aborts before the end of some
+record's data.  Every extension of a path inherits the outcome of the run
+that decided it (the halting-prefix pruning of Calude, Dinneen and Shu,
+"Computing a glimpse of randomness", 2002).  A run evaluates the text's
+parse on the path's data; only a held bit string that does not decode is
+run whole.  The census keeps the paths per text, keyed by their data bits,
+and derives a bit string's record from them only when its records are read;
+a file saved from them loads back into them in one walk that checks the
+file as it reads it.  ``jobs`` spreads texts over processes.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ from .evaluator import (
     MalformedProgram,
     Outcome,
     _checked_tape,
+    head_bits,
     head_hex,
     max_text_chars,
-    program_head,
+    program_heads,
     scan_program,
 )
 from .machine import (
@@ -60,7 +61,7 @@ from .machine import (
     run_program,
 )
 
-MIN_PROGRAM_BITS = len(program_head("a"))  # one character and the separator
+MIN_PROGRAM_BITS = head_bits(1)  # one character and the separator
 
 STATUS_HALTED_VALID = "halted-valid"
 STATUS_HALTED_INVALID = "halted-invalid"
@@ -111,8 +112,8 @@ class Record:
 class Census:
     """Persistent map from enumerated programs to their run records.
 
-    ``advance`` stores what it decides by head (a text and its separator),
-    not by bit string: each enrolled head's decided read paths, path bits to
+    ``advance`` stores what it decides by program text, in text pool order,
+    not by bit string: each enrolled text's decided read paths, data bits to
     (status, steps, value text, data bits read; None on an abort).  The
     records of the programs it enrolled follow from those paths and the
     window of program lengths that it enrolled, so none is built.
@@ -121,15 +122,15 @@ class Census:
     Its first read materialises the derived records into it, in enumeration
     order, at the positions a per-record census gives them (after the
     records already held, a held record of an enrolled program rewritten in
-    place), and drops the per-head state.
+    place), and drops the per-text state.
     ``save_census``, ``omega_lower_bound``, ``status_counts``, ``tally``,
-    ``decide_halting_via_omega`` and ``winner`` read the per-head state
-    without materialising.  ``load_census`` puts a file saved from per-head
-    state back into it, reading each path's fields from the path's own line
-    as one walk renders and checks the file, and any other file into
-    ``records``; both give the census the file's lines spell out.  Equality
-    and repr are those of (version, config digest, max bits, stage,
-    records).
+    ``decide_halting_via_omega`` and ``winner`` read the per-text state
+    without materialising; only the last two spell head bits.
+    ``load_census`` puts a file saved from per-text state back into it,
+    reading each path's fields from the path's own line as one walk renders
+    and checks the file, and any other file into ``records``; both give the
+    census the file's lines spell out.  Equality and repr are those of
+    (version, config digest, max bits, stage, records).
 
     ``winner`` answers from an index of value texts memoised in
     ``value_index`` and keyed on the stage and the number of held records;
@@ -212,9 +213,10 @@ def _value_index(halts: dict[str, str]) -> dict[str, str]:
 def _valid_halts(census: Census) -> dict[str, str]:
     """Bits to value text of the census's halted-valid records, in record
     order, without materialising: the held ones, then one per read path
-    whose valid halt read all of the path's data, the record of the path's
-    own bits.  halted-invalid records carry a value text too and are left
-    out."""
+    that halts validly, the record of the text's head and the path's data.
+    Each path but the empty one extends a path whose run aborted, and its
+    run repeats that run up to the abort, so a halt on it read all of its
+    data.  halted-invalid records carry a value text too and are left out."""
     halts = {
         bits: record.value_text
         for bits, record in census._records.items()
@@ -223,14 +225,17 @@ def _valid_halts(census: Census) -> dict[str, str]:
     if census._window is not None:
         first, last = census._window
         derived = sorted(
-            (len(path), i, path, value_text)
-            for i, (head, paths) in enumerate(census._heads.items())
-            for path, (status, _, value_text, read) in paths.items()
+            (size, i, data, text, value_text)
+            for i, (text, paths) in enumerate(census._heads.items())
+            for data, (status, _, value_text, _) in paths.items()
             if status == STATUS_HALTED_VALID
-            and read == len(path) - len(head)
-            and first <= len(path) <= last
+            and first <= (size := head_bits(len(text)) + len(data)) <= last
         )
-        halts.update((path, value_text) for _, _, path, value_text in derived)
+        heads = program_heads([halt[3] for halt in derived])
+        halts.update(
+            (head + data, value_text)
+            for head, (_, _, data, _, value_text) in zip(heads, derived)
+        )
     return halts
 
 
@@ -261,172 +266,162 @@ def parseable_texts_upto(max_chars: int) -> tuple[str, ...]:
     return tuple(sorted(pool))
 
 
-def _data_strings(n: int) -> list[str]:
+@lru_cache(maxsize=None)
+def _data_strings(n: int) -> tuple[str, ...]:
     """Every bit string of length n, lexicographic."""
-    return ["".join(bits) for bits in itertools.product("01", repeat=n)]
+    return tuple("".join(bits) for bits in itertools.product("01", repeat=n))
 
 
 def _heads_and_data(
     max_bits: int, min_bits: int = MIN_PROGRAM_BITS
-) -> Iterator[tuple[str, str]]:
-    """``enumerate_programs`` from min_bits up, split into (head, data).
+) -> Iterator[tuple[str, str, str]]:
+    """``enumerate_programs`` from min_bits up, as (text, head, data).
 
     Decodable bit strings are exactly text-bytes + separator + free data
     bits, so the stream is generated from the cached parseable-text pool
     rather than by trying every bit string.
     """
     for length in range(max(min_bits, MIN_PROGRAM_BITS), max_bits + 1):
-        # Every data string of each length, built once per program length.
-        data_suffixes: dict[int, list[str]] = {}
-        for text in parseable_texts_upto(max_text_chars(length)):
-            head = program_head(text)
-            data_len = length - len(head)
-            suffixes = data_suffixes.get(data_len)
-            if suffixes is None:
-                suffixes = data_suffixes[data_len] = _data_strings(data_len)
-            for data in suffixes:
-                yield head, data
+        texts = parseable_texts_upto(max_text_chars(length))
+        for text, head in zip(texts, program_heads(texts)):
+            for data in _data_strings(length - len(head)):
+                yield text, head, data
 
 
 def enumerate_programs(max_bits: int) -> Iterator[BinaryProgram]:
     """Every decodable program of at most max_bits bits, exactly once,
     shorter first and lexicographic within a length."""
-    for head, data in _heads_and_data(max_bits):
+    for _, head, data in _heads_and_data(max_bits):
         yield _checked_program(head + data)
 
 
 # --- the dovetail ---------------------------------------------------------
 
 
-def _run_path(bits: str, start: int, exprs, budget: int) -> Outcome:
-    """The outcome of the program ``bits`` at the budget.  Given the parsed
-    text of its head, which ends at ``start``, the data runs on it directly,
-    as ``run_program`` does once it has decoded them; given None (a head
-    that ``advance`` did not enrol), the program is decoded and run."""
-    if exprs is None:
-        return run_program(_checked_program(bits), budget).outcome
+def _run_path(text: str, data: str, budget: int) -> Outcome:
+    """The outcome of the program of a parseable text and its data at the
+    budget: the text's cached parse runs on the data directly, as
+    ``run_program`` does once it has decoded them."""
     # machine.evaluate is the name the benchmark tracer wraps.
-    return machine.evaluate(exprs, _checked_tape(bits[start:]), budget)
+    return machine.evaluate(sexpr.parse_program_cached(text), _checked_tape(data), budget)
+
+
+def _path_of(out: Outcome, budget: int) -> PathFields:
+    """The fields of a read path whose run had the outcome."""
+    if isinstance(out, Halted):
+        value_text = sexpr.print_canonical(out.value)
+        return STATUS_HALTED_VALID, out.steps, value_text, out.bits_consumed
+    if isinstance(out, AbortOverrun):
+        return STATUS_ABORTED, out.steps, None, None
+    if isinstance(out, MalformedProgram):
+        # Undecodable, or decodable but structurally unrunnable.
+        return STATUS_ABORTED, 0, None, 0
+    return STATUS_UNKNOWN, budget, None, 0
 
 
 def _decide_head(
-    group: tuple[str, str | None, dict[str, PathFields], int, tuple[str, ...], int],
+    group: tuple[str, dict[str, PathFields], int, tuple[str, ...], int],
 ) -> dict[str, PathFields]:
-    """Worker: run one head's read paths; returns the fields of every path.
+    """Worker: run one text's read paths; returns every path's fields,
+    keyed by the data bits it ran on.
 
-    A run on ``head + data[:j]`` that halts, runs out of time or is
-    malformed read at most j data bits, so a run on any extension does the
-    same: its outcome decides every extension of the path.  An abort may be
-    a read past bit j, so the path grows by one bit, both ways, while it
-    holds fewer than ``data_bits`` data bits.  Each bit string of
-    ``programs`` (records held one by one) follows its own path to its full
-    length.  The paths in ``known`` were decided at a smaller budget, and a
-    halt or abort at step k is the same at any larger one, so only the other
-    paths run.  An enrolled head comes with its text, whose parse every run
-    shares; any other head's text is None.
+    A run on ``data[:j]`` that halts, runs out of time or is malformed read
+    at most j data bits, so its outcome decides every extension of the path.
+    An abort may be a read past bit j, so the path grows by one bit, both
+    ways, while it holds fewer than ``data_bits`` bits.  Each held record's
+    data (``held``) walks the same paths to its full length.  The paths in
+    ``known`` were decided at a smaller budget, and a halt or abort at step
+    k is the same at any larger one, so only the other paths run.
     """
-    head, text, known, data_bits, programs, budget = group
-    exprs = None if text is None else sexpr.parse_program_cached(text)
-    start = len(head)
+    text, known, data_bits, held, budget = group
     paths = dict(known)
 
-    def read(bits: str) -> int | None:
-        fields = paths.get(bits)
+    def read(data: str) -> int | None:
+        fields = paths.get(data)
         if fields is None:
-            out = _run_path(bits, start, exprs, budget)
-            if isinstance(out, Halted):
-                value_text = sexpr.print_canonical(out.value)
-                fields = (STATUS_HALTED_VALID, out.steps, value_text, out.bits_consumed)
-            elif isinstance(out, AbortOverrun):
-                fields = (STATUS_ABORTED, out.steps, None, None)
-            elif isinstance(out, MalformedProgram):
-                # Undecodable, or decodable but structurally unrunnable.
-                fields = (STATUS_ABORTED, 0, None, 0)
-            else:
-                fields = (STATUS_UNKNOWN, budget, None, 0)
-            paths[bits] = fields
+            fields = paths[data] = _path_of(_run_path(text, data, budget), budget)
         return fields[3]
 
-    todo = [head]
+    todo = [""]
     while todo:
         path = todo.pop()
-        if read(path) is None and len(path) < start + data_bits:
+        if read(path) is None and len(path) < data_bits:
             todo += (path + "0", path + "1")
-    for bits in programs:
-        end = start
-        while read(bits[:end]) is None and end < len(bits):
+    for data in held:
+        end = 0
+        while read(data[:end]) is None and end < len(data):
             end += 1
     return paths
 
 
 def _record_fields(
-    paths: dict[str, PathFields], head: str, bits: str
+    paths: dict[str, PathFields], data: str
 ) -> tuple[str, int, str | None]:
-    """(status, steps, value text) of the record over bits: the fields of
-    the first path along bits that does not abort short of its end; a halt
-    is valid only when it read all of the data."""
-    end = len(head)
-    status, steps, value_text, read = paths[head]
-    while read is None and end < len(bits):
+    """(status, steps, value text) of the record of a text's program on the
+    data: the fields of the first path along the data that does not abort
+    short of its end; a halt is valid only when it read all of the data."""
+    end = 0
+    status, steps, value_text, read = paths[""]
+    while read is None and end < len(data):
         end += 1
-        status, steps, value_text, read = paths[bits[:end]]
-    if status == STATUS_HALTED_VALID and len(head) + read != len(bits):
+        status, steps, value_text, read = paths[data[:end]]
+    if status == STATUS_HALTED_VALID and read != len(data):
         status = STATUS_HALTED_INVALID
     return status, steps, value_text
 
 
 def _blocks(
-    paths: dict[str, PathFields], head: str, length: int, read=None
+    paths: dict[str, PathFields], n: int, read=None
 ) -> Iterator[tuple[int, str, int, str | None]]:
-    """One head's records of one program length, in data order, as runs of
+    """One text's records with n data bits, in data order, as runs of
     (count, status, steps, value text): one run per path that decides them.
 
     A path with no fields yet is first reached at its own length, where its
     run is its own record alone; ``read(data bits)`` gives its fields then.
     """
-    todo = [head]
+    todo = [""]
     while todo:
         path = todo.pop()
         fields = paths.get(path)
         if fields is None:
-            fields = paths[path] = read(len(path) - len(head))
+            fields = paths[path] = read(len(path))
         status, steps, value_text, bits_read = fields
-        if bits_read is None and len(path) < length:
+        if bits_read is None and len(path) < n:
             todo += (path + "1", path + "0")
             continue
-        if status == STATUS_HALTED_VALID and len(head) + bits_read != length:
+        if status == STATUS_HALTED_VALID and bits_read != n:
             status = STATUS_HALTED_INVALID
-        yield 1 << (length - len(path)), status, steps, value_text
+        yield 1 << (n - len(path)), status, steps, value_text
 
 
-def _derived(census: Census) -> Iterator[tuple[int, Iterator[tuple[str, dict, str]]]]:
-    """(length, (head, paths, text) of each head enrolled at that length, in
+def _derived(census: Census) -> Iterator[tuple[int, Iterator[tuple[str, dict]]]]:
+    """(length, (text, paths) of each text enrolled at that length, in
     enumeration order) for each program length of the derived window.  The
-    heads that fit are kept as three lists, not as a tuple per head for the
+    texts that fit are kept as two lists, not as a tuple per text for the
     garbage collector to walk."""
     if census._window is None:
         return
     first, last = census._window
-    texts = parseable_texts_upto(max_text_chars(last))
-    sizes = {len(head) for head in census._heads}
+    chars = None
     for length in range(first, last + 1):
-        if length == first or length in sizes:
-            keep = [len(head) <= length for head in census._heads]
-            columns = (census._heads, census._heads.values(), texts)
+        if max_text_chars(length) != chars:
+            chars = max_text_chars(length)
+            keep = [len(text) <= chars for text in census._heads]
+            columns = (census._heads, census._heads.values())
             fit = [list(itertools.compress(column, keep)) for column in columns]
         yield length, zip(*fit, strict=True)
 
 
 def _derived_count(census: Census) -> int:
-    """Number of derived records: each enrolled head's data strings of
+    """Number of derived records: each enrolled text's data strings of
     every length that puts the program in the window."""
     if census._window is None:
         return 0
     first, last = census._window
-    sizes = Counter(map(len, census._heads))
+    chars = Counter(map(len, census._heads))
     return sum(
         n * ((2 << (last - size)) - (1 << (max(first, size) - size)))
-        for size, n in sizes.items()
+        for size, n in zip(map(head_bits, chars), chars.values())
     )
 
 
@@ -434,18 +429,20 @@ def _derived_tally(census: Census) -> tuple[Counter, Counter]:
     """(records per status, valid halts per program length) of the derived
     records, counted by read path.  A path decides its extensions of every
     length in the window, but an abort only the record of its own length.
-    A valid halt is the path itself, one record."""
+    A valid halt read all of the path's data (see ``_valid_halts``), so it
+    is valid for the path itself, one record."""
     statuses: Counter = Counter()
     valid: Counter = Counter()
     if census._window is None:
         return statuses, valid
     first, last = census._window
     shapes = Counter(
-        (len(path), status, read is None, read == len(path) - len(head))
-        for head, paths in census._heads.items()
-        for path, (status, _, _, read) in paths.items()
+        (len(text), len(data), status, read is None)
+        for text, paths in census._heads.items()
+        for data, (status, _, _, read) in paths.items()
     )
-    for (size, status, aborted, whole), n in shapes.items():
+    for (chars, n_data, status, aborted), n in shapes.items():
+        size = head_bits(chars) + n_data
         if aborted:
             if first <= size <= last:
                 statuses[STATUS_ABORTED] += n
@@ -455,7 +452,7 @@ def _derived_tally(census: Census) -> tuple[Counter, Counter]:
             continue
         count = n * ((2 << (last - size)) - (1 << (low - size)))
         if status == STATUS_HALTED_VALID:
-            if low == size and whole:
+            if low == size:
                 valid[size] += n
                 statuses[STATUS_HALTED_VALID] += n
                 count -= n
@@ -466,18 +463,17 @@ def _derived_tally(census: Census) -> tuple[Counter, Counter]:
 
 
 def _materialise(census: Census) -> None:
-    """Write the derived records into the held ones and drop the per-head
+    """Write the derived records into the held ones and drop the per-text
     state; see ``Census``."""
     records = census._records
-    data: dict[int, list[str]] = {}
+    heads = dict(zip(census._heads, program_heads(census._heads)))
     for length, fit in _derived(census):
-        for head, paths, _ in fit:
+        for text, paths in fit:
+            head = heads[text]
             n = length - len(head)
-            if n not in data:
-                data[n] = _data_strings(n)
             i = 0
-            for count, status, steps, value_text in _blocks(paths, head, length):
-                for suffix in data[n][i:i + count]:
+            for count, status, steps, value_text in _blocks(paths, n):
+                for suffix in _data_strings(n)[i:i + count]:
                     bits = head + suffix
                     records[bits] = Record(bits, status, steps, value_text)
                 i += count
@@ -486,7 +482,7 @@ def _materialise(census: Census) -> None:
 
 
 def _settled(paths: dict[str, PathFields]) -> bool:
-    """True when no path of the head can change: none is unknown, and none
+    """True when no path of the text can change: none is unknown, and none
     aborts, whose extensions a larger size cap would run."""
     return bool(paths) and all(
         fields[0] != STATUS_UNKNOWN and fields[3] is not None
@@ -508,13 +504,14 @@ def advance(
     jobs: int = 1,
 ) -> Census:
     """Bring the census to stage ``census.stage + stages`` in place, in one
-    pass at that stage's budget: every head newly inside the size cap runs
-    its read paths, an enrolled head runs only its paths still unknown and
-    the extensions of its aborts, and each held record still unknown runs
-    along its own path.
+    pass at that stage's budget: every text newly inside the size cap runs
+    its read paths, an enrolled text runs only its paths still unknown and
+    the extensions of its aborts, and each held record still unknown walks
+    its text's paths along its own data.  A held record that does not
+    decode is run whole.
 
-    The heads may be spread over a pool of ``jobs`` processes, each of which
-    returns one head's paths; the result is byte-identical either way
+    The texts may be spread over a pool of ``jobs`` processes, each of which
+    returns one text's paths; the result is byte-identical either way
     because each path's fields depend only on its own bits and the budget.
     """
     _check_version(census.version, census.config_digest)
@@ -525,34 +522,34 @@ def advance(
     t = census.stage + stages
     first = max(census.enrolled_bits + 1, MIN_PROGRAM_BITS)
     size_cap = min(MIN_PROGRAM_BITS + t, census.max_bits)
-    held: dict[str, list[Record]] = {}
+    budget = 2**t
+    held: dict[str, dict[str, Record]] = {}  # text to {data: record}
     rewritten = False  # a held record of a program this pass enrols
     for record in census._records.values():
         rewritten = rewritten or first <= len(record.bits) <= size_cap
         if record.status == STATUS_UNKNOWN:
             scanned = scan_program(record.bits, 0)
-            end = None if type(scanned) is MalformedProgram else scanned[2]
-            held.setdefault(record.bits[:end], []).append(record)
+            if type(scanned) is MalformedProgram:  # run whole
+                out = run_program(_checked_program(record.bits), budget).outcome
+                record.status, record.steps, record.value_text = _path_of(out, budget)[:3]
+            else:
+                held.setdefault(scanned[1], {})[record.bits[scanned[2]:]] = record
     heads = census._heads
     if first <= size_cap:
         census._window = (census._window or (first,))[0], size_cap
     last = census._window[1] if census._window else 0
-    # The enrolled heads are those of these texts, in the same order, which
-    # is enumeration order within a program length.
     texts = parseable_texts_upto(max_text_chars(last))
     if len(texts) != len(heads):
-        census._heads = heads = {h: heads.get(h, {}) for h in map(program_head, texts)}
-    budget = 2**t
+        census._heads = heads = {text: heads.get(text, {}) for text in texts}
     work = []
-    for (head, paths), text in zip(heads.items(), texts):
-        if paths and head not in held and _settled(paths):
+    for text, paths in heads.items():
+        if paths and text not in held and _settled(paths):
             continue
         known = {p: f for p, f in paths.items() if f[0] != STATUS_UNKNOWN} if paths else {}
-        programs = tuple(r.bits for r in held[head]) if head in held else ()
-        work.append((head, text, known, last - len(head), programs, budget))
-    for head, group in held.items():
-        if head not in heads:
-            work.append((head, None, {}, 0, tuple(r.bits for r in group), budget))
+        walks = tuple(held.get(text, ()))
+        work.append((text, known, last - head_bits(len(text)), walks, budget))
+    work += [(text, {}, 0, tuple(walks), budget) for text, walks in held.items()
+             if text not in heads]
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         if pool is None:
             results = map(_decide_head, work)
@@ -560,11 +557,11 @@ def advance(
             chunk = max(1, len(work) // (jobs * 8))
             results = pool.map(_decide_head, work, chunksize=chunk)
         for item, paths in zip(work, results):
-            head = item[0]
-            if head in heads:
-                heads[head] = paths
-            for record in held.get(head, ()):
-                fields = _record_fields(paths, head, record.bits)
+            text = item[0]
+            if text in heads:
+                heads[text] = paths
+            for data, record in held.get(text, {}).items():
+                fields = _record_fields(paths, data)
                 record.status, record.steps, record.value_text = fields
     census.stage = t
     if rewritten:
@@ -574,40 +571,26 @@ def advance(
 
 def status_counts(census: Census) -> dict[str, int]:
     """Number of records per status, the derived ones counted by read path."""
-    return _status_counts(census, _derived_tally(census)[0])
+    return tally(census)[0]
 
 
 def omega_lower_bound(census: Census) -> DyadicRational:
     """Exact sum of 2**-|p| over programs known to halt validly."""
-    return _bound(census, _derived_tally(census)[1])
+    return tally(census)[1]
 
 
 def tally(census: Census) -> tuple[dict[str, int], DyadicRational]:
     """``status_counts`` and ``omega_lower_bound`` from one pass over the
     read paths."""
-    statuses, valid = _derived_tally(census)
-    return _status_counts(census, statuses), _bound(census, valid)
-
-
-def _status_counts(census: Census, derived: Counter) -> dict[str, int]:
-    counts = Counter(record.status for record in census._records.values())
-    counts.update(derived)
-    return dict(counts)
-
-
-def _bound(census: Census, derived: Counter) -> DyadicRational:
-    lengths = Counter(
-        len(record.bits)
-        for record in census._records.values()
-        if record.status == STATUS_HALTED_VALID
-    )
-    lengths.update(derived)
-    if not lengths:
-        return DyadicRational.zero()
+    statuses, lengths = _derived_tally(census)
+    for bits, record in census._records.items():
+        statuses[record.status] += 1
+        if record.status == STATUS_HALTED_VALID:
+            lengths[len(bits)] += 1
     # One integer sum over the common denominator 2**top.
-    top = max(lengths)
+    top = max(lengths, default=0)
     total = sum(count << (top - n) for n, count in lengths.items())
-    return DyadicRational(Fraction(total, 1 << top))
+    return dict(statuses), DyadicRational(Fraction(total, 1 << top))
 
 
 @dataclass(frozen=True, slots=True)
@@ -641,7 +624,7 @@ def decide_halting_via_omega(
     correctly.
 
     A program inside the census's derived window is classified from its
-    head's read paths, any other from its held record; one with neither
+    text's read paths, any other from its held record; one with neither
     has no record and is not halting.  Nothing is materialised.
 
     A caller that has already summed ``omega_lower_bound(census)`` passes
@@ -660,11 +643,11 @@ def decide_halting_via_omega(
     halting = []
     rest = []
     first, last = census._window or (0, -1)  # no length derives without one
-    for head, data in _heads_and_data(n_bits):
+    for text, head, data in _heads_and_data(n_bits):
         bits = head + data
-        paths = census._heads.get(head) if first <= len(bits) <= last else None
+        paths = census._heads.get(text) if first <= len(bits) <= last else None
         if paths:
-            status = _record_fields(paths, head, bits)[0]
+            status = _record_fields(paths, data)[0]
         else:
             record = census._records.get(bits)
             status = record.status if record is not None else None
@@ -680,9 +663,9 @@ def decide_halting_via_omega(
 def _census_text(census: Census, read=None) -> Iterator[str]:
     """The census file a piece at a time: the header, each held record's
     line, then the derived records' lines, one piece per read-path block.
-    At a head's own length the block is one line, the fields of the head's
-    own path.  ``read(data bits)`` gives the fields of a path that has none
-    yet, which the walk first reaches at the path's own length."""
+    At a head's own length the block is one line, the fields of the text's
+    path with no data.  ``read(data bits)`` gives the fields of a path that
+    has none yet, which the walk first reaches at the path's own length."""
     yield (
         f"{_CENSUS_MAGIC}\nversion {census.version}\nconfig {census.config_digest}\n"
         f"max-bits {census.max_bits}\nstage {census.stage}\n"
@@ -697,20 +680,20 @@ def _census_text(census: Census, read=None) -> Iterator[str]:
     # A head's lines share its hex; the data hex is shared per length.
     data_hex: dict[int, list[str]] = {}
     for length, fit in _derived(census):
-        for head, paths, text in fit:
+        for text, paths in fit:
             prefix = head_hex(text)
-            n = length - len(head)
-            if not n:  # one line, the head's own path: a valid halt read no data
-                if head not in paths:
-                    paths[head] = read(0)
-                status, steps, value_text, _ = paths[head]
+            n = length - head_bits(len(text))
+            if not n:  # one line, the path with no data: a valid halt read none
+                if "" not in paths:
+                    paths[""] = read(0)
+                status, steps, value_text, _ = paths[""]
                 value = value_text if value_text is not None else "-"
                 yield f"{prefix} {length} {status} {steps} {value}\n"
                 continue
             if n not in data_hex:
                 data_hex[n] = [bits_to_hex(data) for data in _data_strings(n)]
             i = 0
-            for count, status, steps, value_text in _blocks(paths, head, length, read):
+            for count, status, steps, value_text in _blocks(paths, n, read):
                 value = value_text if value_text is not None else "-"
                 tail = f" {length} {status} {steps} {value}\n"
                 yield prefix + (tail + prefix).join(data_hex[n][i:i + count]) + tail
@@ -749,7 +732,7 @@ def _decimal(text: str) -> int:
 
 
 class _NotHeads(Exception):
-    """The file is not one that save_census writes from per-head state."""
+    """The file is not one that save_census writes from per-text state."""
 
 
 def _path_fields(line: str, data_bits: int) -> PathFields:
@@ -771,11 +754,11 @@ def _path_fields(line: str, data_bits: int) -> PathFields:
 
 
 def _load_heads(text: str) -> Census | None:
-    """The census of a file that ``save_census`` wrote from per-head state,
+    """The census of a file that ``save_census`` wrote from per-text state,
     loaded into that state; None for any other file.
 
     Such a file holds the derived records of the window from the shortest
-    program to ``enrolled_bits`` and no held record, so its enrolled heads
+    program to ``enrolled_bits`` and no held record, so its enrolled texts
     follow from the header.  One walk renders the file from them through
     ``_census_text`` and compares each piece with the text where the last
     one ended.  The walk first reaches a read path at the path's own
@@ -814,7 +797,7 @@ def _load_heads(text: str) -> Census | None:
         return None
     texts = parseable_texts_upto(max_text_chars(last))
     census._window = MIN_PROGRAM_BITS, last
-    census._heads = {program_head(t): {} for t in texts}
+    census._heads = {t: {} for t in texts}
 
     at = 0  # where the walk's next piece must start
 
@@ -839,7 +822,7 @@ def load_census(path) -> Census:
     mangled files, headers or records no census run can produce, and
     numbers or hex spelled otherwise than ``save_census`` spells them.
 
-    A file that ``save_census`` writes from a census's per-head state (an
+    A file that ``save_census`` writes from a census's per-text state (an
     enumerated census with no held record) loads into that state in one
     walk that reads each read path's line and checks every piece of the
     file as it goes (``_load_heads``), with no ``Record`` and no list of
@@ -847,8 +830,11 @@ def load_census(path) -> Census:
     lines, stage 0, a file edited by hand) loads one record per line, with
     the errors below.  Both give the census that the lines spell out.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"{path}: not ASCII: {exc}") from None
     census = _load_heads(text)
     if census is not None:
         return census

@@ -24,14 +24,15 @@ too deeply for Python's own.
 This module also owns the fixed binary program format, because
 ``(run-remaining)`` reads embedded programs from the tape: 8 bits per
 character of program text, the separator byte 0x00, then raw data bits.
-``program_head`` writes the text part (``head_hex`` spells it in hex) and
-``scan_program`` reads it back.
+``program_head`` writes the text part (``program_heads`` many at once,
+``head_hex`` in hex) and ``scan_program`` reads it back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from itertools import accumulate
+from typing import Collection, Iterable, Optional, Union
 
 from .sexpr import (
     QUOTE_ATOM,
@@ -155,6 +156,14 @@ def program_head(text: str) -> str:
     return bin(int.from_bytes(raw, "big"))[3:]
 
 
+def program_heads(texts: Collection[str]) -> list[str]:
+    """``program_head`` of each text, cut from one conversion of them all:
+    a text's head ends in the separator byte that joins it to the next."""
+    bits = program_head("\x00".join(texts))
+    ends = list(accumulate(head_bits(len(text)) for text in texts))
+    return [bits[start:end] for start, end in zip([0, *ends], ends)]
+
+
 def head_hex(text: str) -> str:
     """``program_head(text)`` in hex: the text's bytes, then the separator
     byte, with no conversion to bits."""
@@ -164,6 +173,11 @@ def head_hex(text: str) -> str:
 def max_text_chars(n_bits: int) -> int:
     """Length of the longest program text whose head fits in n_bits."""
     return n_bits // 8 - 1
+
+
+def head_bits(n_chars: int) -> int:
+    """Length of the head of a program text of n_chars characters."""
+    return 8 * n_chars + 8
 
 
 def scan_program(

@@ -105,7 +105,7 @@ def advance(
             end = None if type(scanned) is MalformedProgram else scanned[2]
             pending.setdefault(record.bits[:end], []).append(record)
     size_cap = min(MIN_PROGRAM_BITS + t, census.max_bits)
-    for head, data in _heads_and_data(size_cap, census.enrolled_bits + 1):
+    for _, head, data in _heads_and_data(size_cap, census.enrolled_bits + 1):
         bits = head + data  # one string, shared by the key and the record
         record = census.records[bits] = Record(bits)
         pending.setdefault(head, []).append(record)

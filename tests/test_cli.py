@@ -7,9 +7,10 @@ import json
 import pytest
 
 from conftest import IN_SET_TEXT
-from omegalab import dovetail
+from omegalab import dovetail, evaluator
 from omegalab.cli import _build_parser, main
-from omegalab.machine import MACHINE_VERSION, encode_text, save_program
+from omegalab.evaluator import program_head
+from omegalab.machine import MACHINE_VERSION, config_hash, encode_text, save_program
 
 
 def run_cli(capsys, *argv):
@@ -507,6 +508,44 @@ def test_census_command_tallies_the_read_paths_once(capsys, tmp_path, monkeypatc
     assert passes == [10, 10]
 
 
+def test_census_and_its_load_spell_no_head_bits(capsys, tmp_path, monkeypatch):
+    """The census keys its read paths by text, so building, saving and
+    loading the 24/10 census spells no head's bits: the head hex of each
+    file line comes from the text itself."""
+    spelled = []
+
+    def counting(name, spell):
+        def counted(arg):
+            spelled.append(name)
+            return spell(arg)
+
+        return counted
+
+    for name in ("program_head", "program_heads"):
+        counted = counting(name, getattr(evaluator, name))
+        for module in (evaluator, dovetail):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    path = tmp_path / "c.census"
+    code, _, _ = run_cli(
+        capsys, "census", "--max-bits", "24", "--stages", "10", "--out", str(path)
+    )
+    assert code == 0
+    census = dovetail.load_census(path)
+    assert census.stage == 10 and census._window is not None
+    assert spelled == []
+
+
+def test_omega_reports_a_non_ascii_census_as_corrupt(capsys, tmp_path):
+    path = tmp_path / "u.census"
+    path.write_bytes(
+        f"omegalab census 1\nversion {MACHINE_VERSION}\nconfig {config_hash()}\n"
+        "max-bits 17\nstage 0\nrecords 1\n2100 16 unknown \u00b2 -\n".encode("utf-8")
+    )
+    code, out, err = run_cli(capsys, "omega", "--census", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error CorruptFile: {path}: not ASCII")
+
+
 def test_census_resume_runs_only_the_new_heads(capsys, tmp_path, monkeypatch):
     """A 24/5 census file loads back into heads, so resuming it to stage 10
     runs only the 9,101 two-character heads that stage 8 enrols, once each,
@@ -519,9 +558,9 @@ def test_census_resume_runs_only_the_new_heads(capsys, tmp_path, monkeypatch):
     runs = []
     run_path = dovetail._run_path
 
-    def counted(bits, *args):
-        runs.append(bits)
-        return run_path(bits, *args)
+    def counted(text, data, budget):
+        runs.append(program_head(text) + data)
+        return run_path(text, data, budget)
 
     monkeypatch.setattr(dovetail, "_run_path", counted)
     code, out, _ = run_cli(

@@ -82,16 +82,17 @@ def test_enumerate_yields_decodable_programs_in_size_then_lex_order():
 
 def test_enumerate_min_bits_window():
     full = [p.bits for p in enumerate_programs(18)]
-    window = [head + data for head, data in dovetail._heads_and_data(18, 17)]
+    window = [head + data for _, head, data in dovetail._heads_and_data(18, 17)]
     assert window == [b for b in full if len(b) >= 17]
 
 
 def test_enumeration_splits_each_program_where_the_decoder_does():
-    pairs = list(dovetail._heads_and_data(22))
-    assert len(pairs) == 11557
-    for head, data in pairs:
-        assert decode_program(head + data).data == data, (head, data)
-    assert list(enumerate_programs(22)) == [BinaryProgram(h + d) for h, d in pairs]
+    triples = list(dovetail._heads_and_data(22))
+    assert len(triples) == 11557
+    for text, head, data in triples:
+        decoded = decode_program(head + data)
+        assert (decoded.text, decoded.data) == (text, data), (head, data)
+    assert list(enumerate_programs(22)) == [BinaryProgram(h + d) for _, h, d in triples]
 
 
 def test_census_requires_room_for_one_program():
@@ -174,15 +175,14 @@ def test_advance_by_zero_stages_runs_nothing(monkeypatch):
 
 
 def _counting_runs(monkeypatch) -> list:
-    """The bit string of every run the dovetail makes, through its one run
-    entry ``_run_path`` (which decodes with ``run_program`` only heads it
-    did not enrol)."""
+    """The bit string of every run the dovetail makes of a decodable program,
+    through its run entry ``_run_path(text, data, budget)``."""
     runs = []
     run_path = dovetail._run_path
 
-    def counted(bits, *args):
-        runs.append(bits)
-        return run_path(bits, *args)
+    def counted(text, data, budget):
+        runs.append(program_head(text) + data)
+        return run_path(text, data, budget)
 
     monkeypatch.setattr(dovetail, "_run_path", counted)
     return runs
@@ -439,6 +439,24 @@ def test_load_rejects_non_census(tmp_path):
         load_census(path)
 
 
+def _non_ascii_census() -> bytes:
+    """A stage-0 header at 17 bits and one record whose steps field is a
+    superscript two, spelled in UTF-8."""
+    return (
+        f"omegalab census 1\nversion {dovetail.MACHINE_VERSION}\n"
+        f"config {dovetail.config_hash()}\nmax-bits 17\nstage 0\nrecords 1\n"
+        "2100 16 unknown \u00b2 -\n"
+    ).encode("utf-8")
+
+
+def test_load_rejects_a_non_ascii_byte_as_corrupt(tmp_path):
+    path = tmp_path / "u.census"
+    path.write_bytes(_non_ascii_census())
+    with pytest.raises(CorruptFile, match="not ASCII") as raised:
+        load_census(path)
+    assert str(raised.value).startswith(f"{path}: ")
+
+
 def test_load_rejects_duplicate_records(tmp_path):
     census = advance(new_census(17), 1)
     path = tmp_path / "dup.census"
@@ -653,6 +671,20 @@ def test_read_paths_match_whole_string_runs(jobs, stages):
     assert statuses == {
         STATUS_HALTED_VALID, STATUS_HALTED_INVALID, STATUS_ABORTED
     }
+
+
+def test_held_records_share_their_texts_read_paths(monkeypatch):
+    """Held records are grouped by text and walk its read paths: the 2,047
+    countdown programs with 0 to 10 data bits cost the three runs of the
+    paths "", "0" and "1", not one run each."""
+    head = program_head(COUNTDOWN_TEXT)
+    census = _hand_enrolled(24, [head + data for data in _all_data(10)])
+    assert len(census.records) == 2047
+    expected = _reference_advance(copy.deepcopy(census), 2)
+    runs = _counting_runs(monkeypatch)
+    advance(census, 2)
+    assert sorted(runs) == [head, head + "0", head + "1"]
+    assert census == expected
 
 
 def _out_of_time_census():
@@ -1186,7 +1218,7 @@ def _per_record_decision(census, n_bits):
     """Oracle: classify each program of at most n_bits by its record."""
     records = copy.deepcopy(census).records
     halting, rest = [], []
-    for head, data in dovetail._heads_and_data(n_bits):
+    for _, head, data in dovetail._heads_and_data(n_bits):
         record = records.get(head + data)
         if record is not None and record.status == STATUS_HALTED_VALID:
             halting.append(head + data)
@@ -1229,6 +1261,18 @@ def test_decide_from_paths_that_read(extra, reading_pool):
     assert (decision.halting, decision.not_halting_relative) == (
         _per_record_decision(census, n_bits)
     )
+
+
+def test_a_valid_halt_on_a_read_path_read_all_of_its_data(reading_pool, tmp_path):
+    """Each read path but the empty one extends a path whose run aborted,
+    so a halt on it read all of its data, built or loaded: the value index
+    and the tally take each valid path for the one record of its bits."""
+    census = advance(new_census(reading_pool + 6), 9)
+    for heads in (census._heads, load_census(_saved(census, tmp_path))._heads):
+        halts = [(data, fields[3]) for paths in heads.values()
+                 for data, fields in paths.items() if fields[0] == STATUS_HALTED_VALID]
+        assert {len(data) for data, _ in halts} >= {0, 1, 2}
+        assert all(read == len(data) for data, read in halts)
 
 
 def _assert_index_matches_records(census):

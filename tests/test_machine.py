@@ -13,8 +13,10 @@ from omegalab.evaluator import (
     Halted,
     MalformedProgram,
     OutOfTime,
+    head_bits,
     head_hex,
     program_head,
+    program_heads,
     scan_program,
 )
 from omegalab.dovetail import enumerate_programs, parseable_texts_upto
@@ -184,6 +186,16 @@ def test_program_head_rejects_characters_wider_than_a_byte(text):
         program_head(text)
     with pytest.raises(ValueError):
         head_hex(text)
+
+
+def test_program_heads_are_each_texts_head():
+    texts = [*parseable_texts_upto(2), "", "\x00", "\x00a\x00", "\xff" * 3, "x" * 500]
+    heads = program_heads(texts)
+    assert heads == [program_head(text) for text in texts]
+    assert [len(head) for head in heads] == [head_bits(len(text)) for text in texts]
+    assert program_heads([]) == []
+    with pytest.raises(ValueError):
+        program_heads(["a", chr(256)])
 
 
 def test_head_hex_is_the_hex_of_the_head():
