@@ -44,8 +44,9 @@ MUTANTS = (
     Mutant(
         "own-length-status",
         "dovetail.py",
-        'yield f"{prefix} {length} {status} {steps} {value}\\n"',
-        'yield f"{prefix} {length} {status if steps else STATUS_UNKNOWN} {steps} {value}\\n"',
+        'yield f"{prefix} {length} {status[i]} {steps[i]} {value}\\n"',
+        'yield f"{prefix} {length} {status[i] if steps[i] else STATUS_UNKNOWN} '
+        '{steps[i]} {value}\\n"',
         ("tests/test_dovetail.py", "-k", "pinned or own_length"),
     ),
     Mutant(
@@ -100,6 +101,46 @@ MUTANTS = (
         "            and first <= (size",
         "            if first <= (size",
         ("tests/test_dovetail.py", "-k", "winner_from_paths_that_read"),
+    ),
+    Mutant(
+        "valid-halts-window-start",
+        "dovetail.py",
+        "and first <= (size := head_bits(len(texts[i])) + len(data)) <= last",
+        "and (size := head_bits(len(texts[i])) + len(data)) <= last",
+        ("tests/test_dovetail.py", "-k", "below_the_window"),
+    ),
+    Mutant(
+        "aborted-run-kept-in-columns",
+        "dovetail.py",
+        "            if read is None:\n"
+        "                census._paths[texts[i]] = {\"\": fields}",
+        "            if read is None:\n"
+        "                pass",
+        ("tests/test_dovetail.py", "-k", "heads_that_read_match"),
+    ),
+    Mutant(
+        "loaded-abort-kept-in-columns",
+        "dovetail.py",
+        "                    if bits_read is None:\n"
+        "                        census._paths[text] = {\"\": fields}",
+        "                    if bits_read is None:\n"
+        "                        pass",
+        ("tests/test_dovetail.py", "-k", "heads_that_read_load"),
+    ),
+    Mutant(
+        "realign-drops-enrolled-runs",
+        "dovetail.py",
+        "[next(column) if keep else None for keep in kept]",
+        "[None for keep in kept]",
+        ("tests/test_cli.py", "-k", "resume_runs_only"),
+    ),
+    Mutant(
+        "tally-longer-records-valid",
+        "dovetail.py",
+        "            status = STATUS_HALTED_INVALID\n"
+        "        if count:",
+        "        if count:",
+        ("tests/test_dovetail.py", "-k", "matches_per_record_reference"),
     ),
     Mutant(
         "program-heads-no-separator",

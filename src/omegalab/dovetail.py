@@ -19,16 +19,19 @@ record's data.  Every extension of a path inherits the outcome of the run
 that decided it (the halting-prefix pruning of Calude, Dinneen and Shu,
 "Computing a glimpse of randomness", 2002).  A run evaluates the text's
 parse on the path's data; only a held bit string that does not decode is
-run whole.  The census keeps the paths per text, keyed by their data bits,
-and derives a bit string's record from them only when its records are read;
-a file saved from them loads back into them in one walk that checks the
-file as it reads it.  ``jobs`` spreads texts over processes.
+run whole.  The census keeps each enrolled text's run with no data in
+columns aligned with the text pool, and the read paths, keyed by their data
+bits, only of a text whose run with no data aborted; it derives a bit
+string's record from them only when its records are read.  A file saved
+from them loads back into them in one walk that checks the file as it
+reads it.  ``jobs`` spreads texts over processes.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext, suppress
@@ -112,10 +115,14 @@ class Record:
 class Census:
     """Persistent map from enumerated programs to their run records.
 
-    ``advance`` stores what it decides by program text, in text pool order,
-    not by bit string: each enrolled text's decided read paths, data bits to
+    ``advance`` stores what it decides by program text, not by bit string:
+    three columns aligned with the sorted text pool ``_texts`` hold each
+    text's run with no data (``_status``, ``_steps``, ``_values``).  A run
+    that halts, runs out of time or is malformed read no data, so it
+    decides every record of its text.  Only a text whose run aborted keeps
+    its decided read paths in ``_paths``: data bits ("" among them) to
     (status, steps, value text, data bits read; None on an abort).  The
-    records of the programs it enrolled follow from those paths and the
+    records of the programs ``advance`` enrolled follow from these and the
     window of program lengths that it enrolled, so none is built.
     ``records`` holds the records kept one by one: hand-enrolled,
     undecodable and oversized ones, and those of a file loaded per record.
@@ -127,10 +134,11 @@ class Census:
     ``decide_halting_via_omega`` and ``winner`` read the per-text state
     without materialising; only the last two spell head bits.
     ``load_census`` puts a file saved from per-text state back into it,
-    reading each path's fields from the path's own line as one walk renders
-    and checks the file, and any other file into ``records``; both give the
-    census the file's lines spell out.  Equality and repr are those of
-    (version, config digest, max bits, stage, records).
+    filling the columns from each text's own-length line and the read paths
+    from theirs as one walk renders and checks the file, and any other file
+    into ``records``; both give the census the file's lines spell out.
+    Equality and repr are those of (version, config digest, max bits, stage,
+    records).
 
     ``winner`` answers from an index of value texts memoised in
     ``value_index`` and keyed on the stage and the number of held records;
@@ -143,8 +151,8 @@ class Census:
     """
 
     __slots__ = (
-        "version", "config_digest", "max_bits", "stage",
-        "_records", "_window", "_heads", "value_index",
+        "version", "config_digest", "max_bits", "stage", "_records", "_window",
+        "_texts", "_status", "_steps", "_values", "_paths", "value_index",
     )
 
     def __init__(self, version: str, config_digest: str, max_bits: int, stage: int = 0):
@@ -153,9 +161,11 @@ class Census:
         self.max_bits = max_bits
         self.stage = stage
         self._records: dict[str, Record] = {}
-        # (first, last) program length whose records derive from _heads.
+        # (first, last) program length whose records derive from the texts.
         self._window: tuple[int, int] | None = None
-        self._heads: dict[str, dict[str, PathFields]] = {}
+        self._texts: tuple[str, ...] = ()
+        self._status, self._steps, self._values = [], [], []  # None: no run yet
+        self._paths: dict[str, dict[str, PathFields]] = {}
         self.value_index: tuple[tuple[int, int], dict[str, str]] | None = None
 
     @property
@@ -212,11 +222,12 @@ def _value_index(halts: dict[str, str]) -> dict[str, str]:
 
 def _valid_halts(census: Census) -> dict[str, str]:
     """Bits to value text of the census's halted-valid records, in record
-    order, without materialising: the held ones, then one per read path
-    that halts validly, the record of the text's head and the path's data.
-    Each path but the empty one extends a path whose run aborted, and its
-    run repeats that run up to the abort, so a halt on it read all of its
-    data.  halted-invalid records carry a value text too and are left out."""
+    order, without materialising: the held ones, then one per run that
+    halts validly inside the window, the record of the text's head and the
+    run's data.  Each read path but the empty one extends a path whose run
+    aborted, and its run repeats that run up to the abort, so a halt on it
+    read all of its data.  halted-invalid records carry a value text too
+    and are left out."""
     halts = {
         bits: record.value_text
         for bits, record in census._records.items()
@@ -224,17 +235,23 @@ def _valid_halts(census: Census) -> dict[str, str]:
     }
     if census._window is not None:
         first, last = census._window
-        derived = sorted(
-            (size, i, data, text, value_text)
-            for i, (text, paths) in enumerate(census._heads.items())
-            for data, (status, _, value_text, _) in paths.items()
-            if status == STATUS_HALTED_VALID
-            and first <= (size := head_bits(len(text)) + len(data)) <= last
+        texts = census._texts
+        runs = itertools.chain(
+            zip(range(len(texts)), itertools.repeat(""), census._status, census._values),
+            ((bisect_left(texts, text), data, status, value_text)
+             for text, paths in census._paths.items()
+             for data, (status, _, value_text, _) in paths.items()),
         )
-        heads = program_heads([halt[3] for halt in derived])
+        derived = sorted(
+            (size, i, data, value_text)
+            for i, data, status, value_text in runs
+            if status == STATUS_HALTED_VALID
+            and first <= (size := head_bits(len(texts[i])) + len(data)) <= last
+        )
+        heads = program_heads([texts[i] for _, i, _, _ in derived])
         halts.update(
             (head + data, value_text)
-            for head, (_, _, data, _, value_text) in zip(heads, derived)
+            for head, (_, _, data, value_text) in zip(heads, derived)
         )
     return halts
 
@@ -319,6 +336,11 @@ def _path_of(out: Outcome, budget: int) -> PathFields:
     return STATUS_UNKNOWN, budget, None, 0
 
 
+def _first_run(text: str, budget: int) -> PathFields:
+    """Worker: the fields of the text's run with no data."""
+    return _path_of(_run_path(text, "", budget), budget)
+
+
 def _decide_head(
     group: tuple[str, dict[str, PathFields], int, tuple[str, ...], int],
 ) -> dict[str, PathFields]:
@@ -330,8 +352,9 @@ def _decide_head(
     An abort may be a read past bit j, so the path grows by one bit, both
     ways, while it holds fewer than ``data_bits`` bits.  Each held record's
     data (``held``) walks the same paths to its full length.  The paths in
-    ``known`` were decided at a smaller budget, and a halt or abort at step
-    k is the same at any larger one, so only the other paths run.
+    ``known`` were run already, at this budget or a smaller one, and a
+    halt or abort at step k is the same at any larger one, so only the
+    other paths run.
     """
     text, known, data_bits, held, budget = group
     paths = dict(known)
@@ -394,11 +417,17 @@ def _blocks(
         yield 1 << (n - len(path)), status, steps, value_text
 
 
-def _derived(census: Census) -> Iterator[tuple[int, Iterator[tuple[str, dict]]]]:
-    """(length, (text, paths) of each text enrolled at that length, in
-    enumeration order) for each program length of the derived window.  The
-    texts that fit are kept as two lists, not as a tuple per text for the
-    garbage collector to walk."""
+def _text_paths(census: Census, i: int) -> dict[str, PathFields]:
+    """The read paths of the census's i-th text: its own if its run with no
+    data aborted, else that run alone, which read no data."""
+    return census._paths.get(census._texts[i]) or {
+        "": (census._status[i], census._steps[i], census._values[i], 0)
+    }
+
+
+def _derived(census: Census) -> Iterator[tuple[int, list[int]]]:
+    """(length, pool positions of the texts enrolled at that length, in
+    enumeration order) for each program length of the derived window."""
     if census._window is None:
         return
     first, last = census._window
@@ -406,10 +435,9 @@ def _derived(census: Census) -> Iterator[tuple[int, Iterator[tuple[str, dict]]]]
     for length in range(first, last + 1):
         if max_text_chars(length) != chars:
             chars = max_text_chars(length)
-            keep = [len(text) <= chars for text in census._heads]
-            columns = (census._heads, census._heads.values())
-            fit = [list(itertools.compress(column, keep)) for column in columns]
-        yield length, zip(*fit, strict=True)
+            fits = map(chars.__ge__, map(len, census._texts))
+            fit = list(itertools.compress(range(len(census._texts)), fits))
+        yield length, fit
 
 
 def _derived_count(census: Census) -> int:
@@ -418,7 +446,7 @@ def _derived_count(census: Census) -> int:
     if census._window is None:
         return 0
     first, last = census._window
-    chars = Counter(map(len, census._heads))
+    chars = Counter(map(len, census._texts))
     return sum(
         n * ((2 << (last - size)) - (1 << (max(first, size) - size)))
         for size, n in zip(map(head_bits, chars), chars.values())
@@ -427,7 +455,8 @@ def _derived_count(census: Census) -> int:
 
 def _derived_tally(census: Census) -> tuple[Counter, Counter]:
     """(records per status, valid halts per program length) of the derived
-    records, counted by read path.  A path decides its extensions of every
+    records, counted by run: the columns by text length and status in one
+    pass, the read paths one by one.  A run decides its extensions of every
     length in the window, but an abort only the record of its own length.
     A valid halt read all of the path's data (see ``_valid_halts``), so it
     is valid for the path itself, one record."""
@@ -436,11 +465,15 @@ def _derived_tally(census: Census) -> tuple[Counter, Counter]:
     if census._window is None:
         return statuses, valid
     first, last = census._window
+    heads = Counter(zip(map(len, census._texts), census._status))
+    # The texts whose run with no data aborted are counted by their paths.
+    heads.subtract((len(text), STATUS_ABORTED) for text in census._paths)
     shapes = Counter(
         (len(text), len(data), status, read is None)
-        for text, paths in census._heads.items()
+        for text, paths in census._paths.items()
         for data, (status, _, _, read) in paths.items()
     )
+    shapes.update({(chars, 0, status, False): n for (chars, status), n in heads.items()})
     for (chars, n_data, status, aborted), n in shapes.items():
         size = head_bits(chars) + n_data
         if aborted:
@@ -466,28 +499,33 @@ def _materialise(census: Census) -> None:
     """Write the derived records into the held ones and drop the per-text
     state; see ``Census``."""
     records = census._records
-    heads = dict(zip(census._heads, program_heads(census._heads)))
+    heads = program_heads(census._texts)
     for length, fit in _derived(census):
-        for text, paths in fit:
-            head = heads[text]
+        for i in fit:
+            head = heads[i]
             n = length - len(head)
-            i = 0
-            for count, status, steps, value_text in _blocks(paths, n):
-                for suffix in _data_strings(n)[i:i + count]:
+            j = 0
+            for count, status, steps, value_text in _blocks(_text_paths(census, i), n):
+                for suffix in _data_strings(n)[j:j + count]:
                     bits = head + suffix
                     records[bits] = Record(bits, status, steps, value_text)
-                i += count
+                j += count
     census._window = None
-    census._heads = {}
+    census._texts, census._paths = (), {}
+    census._status, census._steps, census._values = [], [], []
 
 
-def _settled(paths: dict[str, PathFields]) -> bool:
-    """True when no path of the text can change: none is unknown, and none
-    aborts, whose extensions a larger size cap would run."""
-    return bool(paths) and all(
-        fields[0] != STATUS_UNKNOWN and fields[3] is not None
-        for fields in paths.values()
-    )
+def _realign(census: Census, texts: tuple[str, ...]) -> None:
+    """Align the columns with the pool texts, which hold the enrolled texts
+    and longer ones in the same order: an enrolled text keeps its fields,
+    a new one gets none."""
+    chars = max(map(len, census._texts), default=0)
+    kept = [len(text) <= chars for text in texts]
+    census._status, census._steps, census._values = [
+        [next(column) if keep else None for keep in kept]
+        for column in map(iter, (census._status, census._steps, census._values))
+    ]
+    census._texts = texts
 
 
 def _check_version(version: str, digest: str, source: str = "census") -> None:
@@ -504,15 +542,17 @@ def advance(
     jobs: int = 1,
 ) -> Census:
     """Bring the census to stage ``census.stage + stages`` in place, in one
-    pass at that stage's budget: every text newly inside the size cap runs
-    its read paths, an enrolled text runs only its paths still unknown and
+    pass at that stage's budget.  Every text newly inside the size cap or
+    still unknown runs with no data, straight into the columns.  Then a
+    text whose run with no data aborted runs its paths still unknown and
     the extensions of its aborts, and each held record still unknown walks
     its text's paths along its own data.  A held record that does not
     decode is run whole.
 
-    The texts may be spread over a pool of ``jobs`` processes, each of which
-    returns one text's paths; the result is byte-identical either way
-    because each path's fields depend only on its own bits and the budget.
+    The runs may be spread over a pool of ``jobs`` processes, which return
+    the fields of runs with no data in batches, then one text's paths at a
+    time; the result is byte-identical either way because each path's
+    fields depend only on its own bits and the budget.
     """
     _check_version(census.version, census.config_digest)
     if stages < 1:
@@ -534,32 +574,41 @@ def advance(
                 record.status, record.steps, record.value_text = _path_of(out, budget)[:3]
             else:
                 held.setdefault(scanned[1], {})[record.bits[scanned[2]:]] = record
-    heads = census._heads
     if first <= size_cap:
         census._window = (census._window or (first,))[0], size_cap
     last = census._window[1] if census._window else 0
     texts = parseable_texts_upto(max_text_chars(last))
-    if len(texts) != len(heads):
-        census._heads = heads = {text: heads.get(text, {}) for text in texts}
-    work = []
-    for text, paths in heads.items():
-        if paths and text not in held and _settled(paths):
-            continue
-        known = {p: f for p, f in paths.items() if f[0] != STATUS_UNKNOWN} if paths else {}
-        walks = tuple(held.get(text, ()))
-        work.append((text, known, last - head_bits(len(text)), walks, budget))
-    work += [(text, {}, 0, tuple(walks), budget) for text, walks in held.items()
-             if text not in heads]
+    if len(texts) != len(census._texts):
+        _realign(census, texts)
+    status, steps, values = census._status, census._steps, census._values
+    pending = [i for i, run in enumerate(status) if run is None or run == STATUS_UNKNOWN]
+    args = [texts[i] for i in pending], itertools.repeat(budget)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        runs = map(_first_run, *args) if pool is None else pool.map(
+            _first_run, *args, chunksize=max(1, len(pending) // (jobs * 8)))
+        for i, fields in zip(pending, runs):
+            status[i], steps[i], values[i], read = fields
+            if read is None:
+                census._paths[texts[i]] = {"": fields}
+        work = [
+            (text, {p: f for p, f in paths.items() if f[0] != STATUS_UNKNOWN},
+             last - head_bits(len(text)), tuple(held.get(text, ())), budget)
+            for text, paths in census._paths.items()
+        ]
+        for text, walks in held.items():
+            if text not in census._paths:
+                i = bisect_left(texts, text)
+                enrolled = i < len(texts) and texts[i] == text
+                known = _text_paths(census, i) if enrolled else {}
+                work.append((text, known, 0, tuple(walks), budget))
         if pool is None:
             results = map(_decide_head, work)
         else:
             chunk = max(1, len(work) // (jobs * 8))
             results = pool.map(_decide_head, work, chunksize=chunk)
-        for item, paths in zip(work, results):
-            text = item[0]
-            if text in heads:
-                heads[text] = paths
+        for (text, *_), paths in zip(work, results):
+            if text in census._paths:
+                census._paths[text] = paths
             for data, record in held.get(text, {}).items():
                 fields = _record_fields(paths, data)
                 record.status, record.steps, record.value_text = fields
@@ -624,8 +673,9 @@ def decide_halting_via_omega(
     correctly.
 
     A program inside the census's derived window is classified from its
-    text's read paths, any other from its held record; one with neither
-    has no record and is not halting.  Nothing is materialised.
+    text's run with no data or read paths, any other from its held record;
+    one with neither has no record and is not halting.  Nothing is
+    materialised.
 
     A caller that has already summed ``omega_lower_bound(census)`` passes
     it as ``bound`` so that the sum is not made again.
@@ -643,10 +693,12 @@ def decide_halting_via_omega(
     halting = []
     rest = []
     first, last = census._window or (0, -1)  # no length derives without one
+    seen = None  # the text whose paths are at hand
     for text, head, data in _heads_and_data(n_bits):
         bits = head + data
-        paths = census._heads.get(text) if first <= len(bits) <= last else None
-        if paths:
+        if first <= len(bits) <= last:
+            if text != seen:
+                seen, paths = text, _text_paths(census, bisect_left(census._texts, text))
             status = _record_fields(paths, data)[0]
         else:
             record = census._records.get(bits)
@@ -663,9 +715,9 @@ def decide_halting_via_omega(
 def _census_text(census: Census, read=None) -> Iterator[str]:
     """The census file a piece at a time: the header, each held record's
     line, then the derived records' lines, one piece per read-path block.
-    At a head's own length the block is one line, the fields of the text's
-    path with no data.  ``read(data bits)`` gives the fields of a path that
-    has none yet, which the walk first reaches at the path's own length."""
+    At a head's own length the block is one line, the text's run with no
+    data.  ``read(data bits)`` gives the fields of a run the census has not
+    yet, which the walk first reaches at the path's own length."""
     yield (
         f"{_CENSUS_MAGIC}\nversion {census.version}\nconfig {census.config_digest}\n"
         f"max-bits {census.max_bits}\nstage {census.stage}\n"
@@ -677,27 +729,32 @@ def _census_text(census: Census, read=None) -> Iterator[str]:
             f"{bits_to_hex(record.bits)} {len(record.bits)} "
             f"{record.status} {record.steps} {value}\n"
         )
+    texts, status, steps, values = census._texts, census._status, census._steps, census._values
     # A head's lines share its hex; the data hex is shared per length.
     data_hex: dict[int, list[str]] = {}
     for length, fit in _derived(census):
-        for text, paths in fit:
+        for i in fit:
+            text = texts[i]
             prefix = head_hex(text)
             n = length - head_bits(len(text))
-            if not n:  # one line, the path with no data: a valid halt read none
-                if "" not in paths:
-                    paths[""] = read(0)
-                status, steps, value_text, _ = paths[""]
-                value = value_text if value_text is not None else "-"
-                yield f"{prefix} {length} {status} {steps} {value}\n"
+            if not n:  # one line, the run with no data: a valid halt read none
+                if status[i] is None:
+                    fields = read(0)
+                    status[i], steps[i], values[i], bits_read = fields
+                    if bits_read is None:
+                        census._paths[text] = {"": fields}
+                value = values[i] if values[i] is not None else "-"
+                yield f"{prefix} {length} {status[i]} {steps[i]} {value}\n"
                 continue
             if n not in data_hex:
                 data_hex[n] = [bits_to_hex(data) for data in _data_strings(n)]
-            i = 0
-            for count, status, steps, value_text in _blocks(paths, n, read):
+            j = 0
+            blocks = _blocks(_text_paths(census, i), n, read)
+            for count, path_status, path_steps, value_text in blocks:
                 value = value_text if value_text is not None else "-"
-                tail = f" {length} {status} {steps} {value}\n"
-                yield prefix + (tail + prefix).join(data_hex[n][i:i + count]) + tail
-                i += count
+                tail = f" {length} {path_status} {path_steps} {value}\n"
+                yield prefix + (tail + prefix).join(data_hex[n][j:j + count]) + tail
+                j += count
 
 
 def save_census(census: Census, path) -> None:
@@ -764,7 +821,9 @@ def _load_heads(text: str) -> Census | None:
     one ended.  The walk first reaches a read path at the path's own
     length, where its piece is the path's own line: the path's fields are
     read from that line of the text (``_path_fields``), then checked by the
-    render like every other piece.  No list of lines is built.
+    render like every other piece.  A text's run with no data fills the
+    columns, and starts the text's read paths if it aborted.  No list of
+    lines is built.
     """
     body = 0
     for _ in range(6):  # the header's lines
@@ -795,9 +854,8 @@ def _load_heads(text: str) -> Census | None:
     spread = last - MIN_PROGRAM_BITS
     if spread >= newlines.bit_length() or (2 << spread) - 1 > newlines:
         return None
-    texts = parseable_texts_upto(max_text_chars(last))
     census._window = MIN_PROGRAM_BITS, last
-    census._heads = {t: {} for t in texts}
+    _realign(census, parseable_texts_upto(max_text_chars(last)))
 
     at = 0  # where the walk's next piece must start
 

@@ -5,9 +5,10 @@ the records still unknown by head and writes each record's decided fields
 back into it; ``_decide_head`` returns one (status, steps, value text)
 tuple per record.  ``load_census`` builds one ``Record`` per line of the
 file, whose numbers and hex must be spelled as ``save_census`` spells them.
-``omegalab.dovetail`` keeps each head's read paths instead, derives the
-records from them and loads a file it could have saved into them; this
-module is its oracle, so it stays as it was, not fast.
+``omegalab.dovetail`` keeps each head's run with no data, and the read
+paths of a head whose run aborted, instead, derives the records from them
+and loads a file it could have saved into them; this module is its
+oracle, so it stays as it was, not fast.
 """
 
 import re

@@ -535,6 +535,19 @@ def test_census_and_its_load_spell_no_head_bits(capsys, tmp_path, monkeypatch):
     assert spelled == []
 
 
+def test_census_and_its_load_keep_no_read_paths(tmp_path):
+    """No program under 88 bits reads a bit, so every text of the 24/10
+    census is decided by its run with no data: built or loaded, the census
+    holds those runs in its columns and no text holds read paths."""
+    census = dovetail.advance(dovetail.new_census(24), 10)
+    path = tmp_path / "c.census"
+    dovetail.save_census(census, path)
+    for held in (census, dovetail.load_census(path)):
+        assert held._paths == {}
+        assert len(held._texts) == len(held._status) == len(held._values) == 9192
+        assert set(held._status) == {dovetail.STATUS_HALTED_VALID}
+
+
 def test_omega_reports_a_non_ascii_census_as_corrupt(capsys, tmp_path):
     path = tmp_path / "u.census"
     path.write_bytes(

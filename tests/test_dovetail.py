@@ -588,6 +588,17 @@ def _reference_fields(bits: str, budget: int) -> tuple[str, int, str | None]:
     return STATUS_UNKNOWN, budget, None
 
 
+def _path_fields_of(out, budget: int) -> tuple[str, int, str | None, int | None]:
+    """A run's fields and the data bits it read, None on an abort."""
+    if isinstance(out, Halted):
+        return STATUS_HALTED_VALID, out.steps, print_canonical(out.value), out.bits_consumed
+    if isinstance(out, AbortOverrun):
+        return STATUS_ABORTED, out.steps, None, None
+    if isinstance(out, MalformedProgram):
+        return STATUS_ABORTED, 0, None, 0
+    return STATUS_UNKNOWN, budget, None, 0
+
+
 def _reference_advance(census, stages: int):
     for _ in range(stages):
         census.stage += 1
@@ -923,12 +934,19 @@ def _assert_loads_like_reference(path, tmp_path, heads=None, saved=None):
     if heads is not None:
         assert (census._window is not None) == heads
     if saved is not None:
-        assert (census._window, census._heads) == (saved._window, saved._heads)
+        assert _per_text_state(census) == _per_text_state(saved)
     again = tmp_path / "again.census"
     save_census(census, again)
     if heads is not None:
         assert again.read_bytes() == path.read_bytes()
     _assert_matches_reference(census, reference, tmp_path)
+
+
+def _per_text_state(census):
+    """What a census keeps by text: the window, the text pool, the columns
+    of each text's run with no data, and the read paths."""
+    return (census._window, census._texts, census._status, census._steps,
+            census._values, census._paths)
 
 
 def _saved(census, tmp_path, name="saved.census"):
@@ -1206,9 +1224,9 @@ def test_heads_file_reads_each_path_line_once(reading, tmp_path, monkeypatch, re
 
     monkeypatch.setattr(dovetail, "_path_fields", counted)
     census = load_census(_saved(saved, tmp_path))
-    paths = [path for paths in census._heads.values() for path in paths]
-    assert len(read) == len(set(read)) == len(paths)
-    assert census._heads == saved._heads
+    runs = len(census._texts) + sum(len(paths) - 1 for paths in census._paths.values())
+    assert len(read) == len(set(read)) == runs
+    assert _per_text_state(census) == _per_text_state(saved)
 
 
 # --- deciding halting and finding winners from read paths -------------------
@@ -1268,9 +1286,10 @@ def test_a_valid_halt_on_a_read_path_read_all_of_its_data(reading_pool, tmp_path
     so a halt on it read all of its data, built or loaded: the value index
     and the tally take each valid path for the one record of its bits."""
     census = advance(new_census(reading_pool + 6), 9)
-    for heads in (census._heads, load_census(_saved(census, tmp_path))._heads):
-        halts = [(data, fields[3]) for paths in heads.values()
-                 for data, fields in paths.items() if fields[0] == STATUS_HALTED_VALID]
+    for loaded in (census, load_census(_saved(census, tmp_path))):
+        halts = [(data, fields[3]) for i in range(len(loaded._texts))
+                 for data, fields in dovetail._text_paths(loaded, i).items()
+                 if fields[0] == STATUS_HALTED_VALID]
         assert {len(data) for data, _ in halts} >= {0, 1, 2}
         assert all(read == len(data) for data, read in halts)
 
@@ -1302,6 +1321,54 @@ def test_winner_from_paths_matches_the_records_index(max_bits, stages, tmp_path)
 ])
 def test_winner_from_held_records_matches_the_records_index(make):
     _assert_index_matches_records(make())
+
+
+def test_winner_keeps_held_records_below_the_window():
+    """A census advanced after its records were read runs its texts again,
+    and their runs with no data fall below the new window's first length:
+    the held records decide there, also one rewritten in place."""
+    census = advance(new_census(20), 1)  # 16- and 17-bit programs
+    a, b = program_head("a"), program_head("b")
+    census.records[a].value_text = "(rewritten)"
+    census.records[b].status = STATUS_HALTED_INVALID
+    advance(census, 1)
+    assert census._window == (18, 18) and len(census._texts) == 91
+    assert census.winner("(rewritten)") == a
+    assert census.winner("a") is None and census.winner("b") is None
+    _assert_index_matches_records(census)
+
+
+def test_reading_pool_keeps_the_read_paths_the_reference_runs(
+    reading_pool, tmp_path, monkeypatch
+):
+    """Only a text whose run with no data aborted holds read paths, and
+    they are the runs the per-record reference makes of its programs, built
+    or loaded; every other text holds its run with no data in the columns."""
+    runs = {}
+    reference_run = reference_dovetail.run_program
+
+    def recorded(program, budget):
+        result = reference_run(program, budget)
+        runs[program.bits] = _path_fields_of(result.outcome, budget)
+        return result
+
+    monkeypatch.setattr(reference_dovetail, "run_program", recorded)
+    census, _ = _both(new_census(reading_pool + 6), [9])
+    expected = {}
+    for text in census._texts:
+        head = program_head(text)
+        if runs[head][3] is None:
+            expected[text] = {
+                bits[len(head):]: fields for bits, fields in runs.items()
+                if bits.startswith(head)
+            }
+    assert expected and len(expected) < len(census._texts)
+    for loaded in (census, load_census(_saved(census, tmp_path))):
+        assert loaded._paths == expected
+        for text, status, steps, value_text in zip(
+            loaded._texts, loaded._status, loaded._steps, loaded._values
+        ):
+            assert runs[program_head(text)][:3] == (status, steps, value_text)
 
 
 def test_winner_from_paths_that_read_matches_the_records_index(reading_pool):
