@@ -149,6 +149,58 @@ MUTANTS = (
         'bits = program_head("".join(texts))',
         ("tests/test_machine.py", "-k", "program_heads"),
     ),
+    Mutant(
+        "pool-import-at-load",
+        "dovetail.py",
+        "from contextlib import nullcontext, suppress\n",
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from contextlib import nullcontext, suppress\n",
+        ("tests/test_cli.py", "-k", "never_imports_the_process_pool"),
+    ),
+    Mutant(
+        "run-remaining-free-step",
+        "evaluator.py",
+        "                    inner, _, cursor = scanned\n",
+        "                    inner, _, cursor = scanned\n"
+        "                    steps -= 1\n",
+        ("tests/test_dovetail.py", "-k", "plain_census_one_step_later"),
+    ),
+    Mutant(
+        "run-remaining-keeps-cursor",
+        "evaluator.py",
+        "inner, _, cursor = scanned",
+        "inner, _, _ = scanned",
+        ("tests/test_dovetail.py", "-k", "plain_census_one_step_later"),
+    ),
+    Mutant(
+        "halt-extra-step",
+        "evaluator.py",
+        "_set_halted_steps(outcome, steps)",
+        "_set_halted_steps(outcome, steps + 1)",
+        ("tests/test_reference_evaluator.py", "-k", "fuzzed_programs"),
+    ),
+    Mutant(
+        "scan-unaligned-separator",
+        "evaluator.py",
+        "    while at >= 0 and (at - cursor) % 8:\n"
+        "        at = bits.find(\"00000000\", at + 1)\n",
+        "",
+        ("tests/test_machine.py", "-k", "scan_program or nested_run"),
+    ),
+    Mutant(
+        "reader-outermost-paren",
+        "sexpr.py",
+        "raise UnbalancedParens(stack[-1][2])",
+        "raise UnbalancedParens(stack[0][2])",
+        ("tests/test_sexpr.py", "-k", "matches_reference_on_large"),
+    ),
+    Mutant(
+        "reader-first-pending-quote",
+        "sexpr.py",
+        "        raise DanglingQuote(quotes[-1])\n    return tuple(items)",
+        "        raise DanglingQuote(quotes[0])\n    return tuple(items)",
+        ("tests/test_sexpr.py", "-k", "matches_two_stage_reference"),
+    ),
 )
 
 

@@ -33,7 +33,6 @@ import itertools
 import os
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -552,7 +551,9 @@ def advance(
     The runs may be spread over a pool of ``jobs`` processes, which return
     the fields of runs with no data in batches, then one text's paths at a
     time; the result is byte-identical either way because each path's
-    fields depend only on its own bits and the budget.
+    fields depend only on its own bits and the budget.  The pool's modules
+    are imported only here, the first time a process opens a pool, so a
+    process that runs at ``jobs=1`` never loads them.
     """
     _check_version(census.version, census.config_digest)
     if stages < 1:
@@ -583,6 +584,8 @@ def advance(
     status, steps, values = census._status, census._steps, census._values
     pending = [i for i, run in enumerate(status) if run is None or run == STATUS_UNKNOWN]
     args = [texts[i] for i in pending], itertools.repeat(budget)
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         runs = map(_first_run, *args) if pool is None else pool.map(
             _first_run, *args, chunksize=max(1, len(pending) // (jobs * 8)))

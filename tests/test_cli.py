@@ -3,6 +3,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -257,6 +260,31 @@ def test_census_jobs_flag_changes_nothing(capsys, tmp_path):
         "--jobs", "2",
     )
     assert a.read_bytes() == b.read_bytes()
+
+
+NO_POOL_SCRIPT = """
+import sys
+import omegalab
+from omegalab import cli
+code = cli.main(["census", "--max-bits", "18", "--stages", "2", "--jobs", "1",
+                 "--out", sys.argv[1]])
+print(code, *(m in sys.modules for m in ("concurrent.futures", "multiprocessing")))
+"""
+
+
+def test_census_at_one_job_never_imports_the_process_pool(tmp_path):
+    # In a child process: this one has imported the pool for other tests.
+    # The child imports the same source tree as this process.
+    src = os.path.dirname(os.path.dirname(dovetail.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_POOL_SCRIPT, str(tmp_path / "18.census")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_census_env_var_directory(capsys, tmp_path, monkeypatch):

@@ -142,14 +142,17 @@ def test_parallel_jobs_match_sequential_on_desk_corpus():
 
 
 def test_advance_opens_one_process_pool_for_all_stages(monkeypatch):
+    import concurrent.futures
+
     made = []
 
-    class CountingPool(dovetail.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             made.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(dovetail, "ProcessPoolExecutor", CountingPool)
+    # advance imports the pool class from its package when it opens a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     parallel = advance(new_census(20), 3, jobs=2)
     assert len(made) == 1
     assert parallel == advance(new_census(20), 3, jobs=1)
@@ -908,6 +911,27 @@ def test_enrolled_heads_that_read_match_per_record_reference(
         STATUS_HALTED_VALID, STATUS_HALTED_INVALID, STATUS_ABORTED, STATUS_UNKNOWN
     }
     _assert_matches_reference(census, reference, tmp_path)
+
+
+def test_run_remaining_census_is_the_plain_census_one_step_later(monkeypatch):
+    """Universality: ``(run-remaining)`` runs the rest of its tape as a
+    program, so over 16 data bits (131,071 bit strings, every read path a
+    run) its records are those of the plain 16-bit census, one step later,
+    each 128 bits further down."""
+    plain = advance(new_census(16), 4)
+    head = program_head("(run-remaining)")
+    min_bits = _use_pool(monkeypatch, ("(run-remaining)",))
+    embedded = advance(new_census(min_bits + 16), 16)
+    records = embedded.records
+    assert len(plain.records) == 91
+    for bits, record in plain.records.items():
+        ran = records[head + bits]
+        assert (ran.status, ran.steps - 1, ran.value_text) == (
+            record.status, record.steps, record.value_text
+        )
+    assert omega_lower_bound(embedded).fraction == (
+        omega_lower_bound(plain).fraction / 2**min_bits
+    )
 
 
 # --- loading a file into heads against the per-record loader ---------------
