@@ -87,12 +87,12 @@ MUTANTS = (
         ("tests/test_dovetail.py", "-k", "read_paths_match or decide_from_paths"),
     ),
     Mutant(
-        "held-walk-first-path",
+        "held-halt-always-valid",
         "dovetail.py",
-        "        while read(data[:end]) is None and end < len(data):\n"
-        "            end += 1",
-        "        read(data[:end])",
-        ("tests/test_dovetail.py", "-k", "share_their_texts"),
+        "            if record.status == STATUS_HALTED_VALID and not result.valid_halt:\n"
+        "                record.status = STATUS_HALTED_INVALID\n",
+        "",
+        ("tests/test_dovetail.py", "-k", "read_paths_match"),
     ),
     Mutant(
         "valid-halts-any-status",
@@ -200,6 +200,13 @@ MUTANTS = (
         "        raise DanglingQuote(quotes[-1])\n    return tuple(items)",
         "        raise DanglingQuote(quotes[0])\n    return tuple(items)",
         ("tests/test_sexpr.py", "-k", "matches_two_stage_reference"),
+    ),
+    Mutant(
+        "closure-check-every-path",
+        "evaluator.py",
+        "if type(node) is tuple and id(node) not in seen:",
+        "if type(node) is tuple:",
+        ("tests/test_evaluator.py", "-k", "shared_value_once_per_node"),
     ),
 )
 

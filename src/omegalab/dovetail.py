@@ -18,11 +18,11 @@ then one bit longer only while the run aborts before the end of some
 record's data.  Every extension of a path inherits the outcome of the run
 that decided it (the halting-prefix pruning of Calude, Dinneen and Shu,
 "Computing a glimpse of randomness", 2002).  A run evaluates the text's
-parse on the path's data; only a held bit string that does not decode is
-run whole.  The census keeps each enrolled text's run with no data in
-columns aligned with the text pool, and the read paths, keyed by their data
-bits, only of a text whose run with no data aborted; it derives a bit
-string's record from them only when its records are read.  A file saved
+parse on the path's data.  A held record, one kept by its bit string, runs
+whole, one run each.  The census keeps each enrolled text's run with no
+data in columns aligned with the text pool, and the read paths, keyed by
+their data bits, only of a text whose run with no data aborted; it derives
+a bit string's record from them only when its records are read.  A file saved
 from them loads back into them in one walk that checks the file as it
 reads it.  ``jobs`` spreads texts over processes.
 """
@@ -51,7 +51,6 @@ from .evaluator import (
     head_hex,
     max_text_chars,
     program_heads,
-    scan_program,
 )
 from .machine import (
     MACHINE_VERSION,
@@ -341,38 +340,29 @@ def _first_run(text: str, budget: int) -> PathFields:
 
 
 def _decide_head(
-    group: tuple[str, dict[str, PathFields], int, tuple[str, ...], int],
+    group: tuple[str, dict[str, PathFields], int, int],
 ) -> dict[str, PathFields]:
-    """Worker: run one text's read paths; returns every path's fields,
-    keyed by the data bits it ran on.
+    """Worker: grow one enrolled text's tree of read paths; returns every
+    path's fields, keyed by the data bits it ran on.
 
     A run on ``data[:j]`` that halts, runs out of time or is malformed read
     at most j data bits, so its outcome decides every extension of the path.
     An abort may be a read past bit j, so the path grows by one bit, both
-    ways, while it holds fewer than ``data_bits`` bits.  Each held record's
-    data (``held``) walks the same paths to its full length.  The paths in
+    ways, while it holds fewer than ``data_bits`` bits.  The paths in
     ``known`` were run already, at this budget or a smaller one, and a
     halt or abort at step k is the same at any larger one, so only the
     other paths run.
     """
-    text, known, data_bits, held, budget = group
+    text, known, data_bits, budget = group
     paths = dict(known)
-
-    def read(data: str) -> int | None:
-        fields = paths.get(data)
-        if fields is None:
-            fields = paths[data] = _path_of(_run_path(text, data, budget), budget)
-        return fields[3]
-
     todo = [""]
     while todo:
         path = todo.pop()
-        if read(path) is None and len(path) < data_bits:
+        fields = paths.get(path)
+        if fields is None:
+            fields = paths[path] = _path_of(_run_path(text, path, budget), budget)
+        if fields[3] is None and len(path) < data_bits:
             todo += (path + "0", path + "1")
-    for data in held:
-        end = 0
-        while read(data[:end]) is None and end < len(data):
-            end += 1
     return paths
 
 
@@ -541,12 +531,11 @@ def advance(
     jobs: int = 1,
 ) -> Census:
     """Bring the census to stage ``census.stage + stages`` in place, in one
-    pass at that stage's budget.  Every text newly inside the size cap or
-    still unknown runs with no data, straight into the columns.  Then a
-    text whose run with no data aborted runs its paths still unknown and
-    the extensions of its aborts, and each held record still unknown walks
-    its text's paths along its own data.  A held record that does not
-    decode is run whole.
+    pass at that stage's budget.  Each held record still unknown runs
+    whole, one run each.  Every text newly inside the size cap or still
+    unknown runs with no data, straight into the columns.  Then a text
+    whose run with no data aborted runs its paths still unknown and the
+    extensions of its aborts.
 
     The runs may be spread over a pool of ``jobs`` processes, which return
     the fields of runs with no data in batches, then one text's paths at a
@@ -564,17 +553,15 @@ def advance(
     first = max(census.enrolled_bits + 1, MIN_PROGRAM_BITS)
     size_cap = min(MIN_PROGRAM_BITS + t, census.max_bits)
     budget = 2**t
-    held: dict[str, dict[str, Record]] = {}  # text to {data: record}
     rewritten = False  # a held record of a program this pass enrols
     for record in census._records.values():
         rewritten = rewritten or first <= len(record.bits) <= size_cap
         if record.status == STATUS_UNKNOWN:
-            scanned = scan_program(record.bits, 0)
-            if type(scanned) is MalformedProgram:  # run whole
-                out = run_program(_checked_program(record.bits), budget).outcome
-                record.status, record.steps, record.value_text = _path_of(out, budget)[:3]
-            else:
-                held.setdefault(scanned[1], {})[record.bits[scanned[2]:]] = record
+            result = run_program(_checked_program(record.bits), budget)
+            fields = _path_of(result.outcome, budget)
+            record.status, record.steps, record.value_text, _ = fields
+            if record.status == STATUS_HALTED_VALID and not result.valid_halt:
+                record.status = STATUS_HALTED_INVALID
     if first <= size_cap:
         census._window = (census._window or (first,))[0], size_cap
     last = census._window[1] if census._window else 0
@@ -595,26 +582,15 @@ def advance(
                 census._paths[texts[i]] = {"": fields}
         work = [
             (text, {p: f for p, f in paths.items() if f[0] != STATUS_UNKNOWN},
-             last - head_bits(len(text)), tuple(held.get(text, ())), budget)
+             last - head_bits(len(text)), budget)
             for text, paths in census._paths.items()
         ]
-        for text, walks in held.items():
-            if text not in census._paths:
-                i = bisect_left(texts, text)
-                enrolled = i < len(texts) and texts[i] == text
-                known = _text_paths(census, i) if enrolled else {}
-                work.append((text, known, 0, tuple(walks), budget))
         if pool is None:
             results = map(_decide_head, work)
         else:
             chunk = max(1, len(work) // (jobs * 8))
             results = pool.map(_decide_head, work, chunksize=chunk)
-        for (text, *_), paths in zip(work, results):
-            if text in census._paths:
-                census._paths[text] = paths
-            for data, record in held.get(text, {}).items():
-                fields = _record_fields(paths, data)
-                record.status, record.steps, record.value_text = fields
+        census._paths = dict(zip(census._paths, results))
     census.stage = t
     if rewritten:
         _materialise(census)  # rewrites those records in place
@@ -813,9 +789,11 @@ def _path_fields(line: str, data_bits: int) -> PathFields:
     raise _NotHeads
 
 
-def _load_heads(text: str) -> Census | None:
-    """The census of a file that ``save_census`` wrote from per-text state,
-    loaded into that state; None for any other file.
+def _load_heads(census: Census, text: str, body: int) -> bool:
+    """Load the file ``text`` into the census's per-text state if
+    ``save_census`` wrote it from such state; returns whether it did, and a
+    False leaves the census part-filled.  The census was built from the
+    file's header, and its body starts at ``body``.
 
     Such a file holds the derived records of the window from the shortest
     program to ``enrolled_bits`` and no held record, so its enrolled texts
@@ -828,25 +806,8 @@ def _load_heads(text: str) -> Census | None:
     columns, and starts the text's read paths if it aborted.  No list of
     lines is built.
     """
-    body = 0
-    for _ in range(6):  # the header's lines
-        body = text.find("\n", body) + 1
-        if not body:
-            return None
-    try:
-        header = dict(line.split(" ", 1) for line in text[:body].split("\n")[1:6])
-        census = Census(
-            header["version"], header["config"],
-            int(header["max-bits"]), int(header["stage"]),
-        )
-    except (KeyError, ValueError):
-        return None
-    if (
-        (census.version, census.config_digest) != (MACHINE_VERSION, config_hash())
-        or census.max_bits < MIN_PROGRAM_BITS
-        or census.stage < 1
-    ):
-        return None
+    if census.stage < 1:
+        return False
     # A window holds at least the records of one shortest head.  A body
     # with fewer lines is not a window's, and its texts are not enumerated:
     # those up to last bits cost about as much as that many lines.  The
@@ -856,7 +817,7 @@ def _load_heads(text: str) -> Census | None:
     newlines = text.count("\n", body)
     spread = last - MIN_PROGRAM_BITS
     if spread >= newlines.bit_length() or (2 << spread) - 1 > newlines:
-        return None
+        return False
     census._window = MIN_PROGRAM_BITS, last
     _realign(census, parseable_texts_upto(max_text_chars(last)))
 
@@ -871,11 +832,11 @@ def _load_heads(text: str) -> Census | None:
     try:
         for piece in _census_text(census, read):
             if not text.startswith(piece, at):
-                return None
+                return False
             at += len(piece)
     except _NotHeads:
-        return None
-    return census if at == len(text) else None
+        return False
+    return at == len(text)
 
 
 def load_census(path) -> Census:
@@ -883,23 +844,25 @@ def load_census(path) -> Census:
     mangled files, headers or records no census run can produce, and
     numbers or hex spelled otherwise than ``save_census`` spells them.
 
-    A file that ``save_census`` writes from a census's per-text state (an
-    enumerated census with no held record) loads into that state in one
-    walk that reads each read path's line and checks every piece of the
-    file as it goes (``_load_heads``), with no ``Record`` and no list of
-    lines built.  Any other file (held records, hand-enrolled or oversized
-    lines, stage 0, a file edited by hand) loads one record per line, with
-    the errors below.  Both give the census that the lines spell out.
+    The header's lines are split as ``str.splitlines`` splits the whole
+    file, but only they are split.  A file that ``save_census`` writes from
+    a census's per-text state (an enumerated census with no held record)
+    then loads into that state in one walk that reads each read path's line
+    and checks every piece of the file as it goes (``_load_heads``), with
+    no ``Record`` and no list of lines built.  Any other file (held
+    records, hand-enrolled or oversized lines, stage 0, a file edited by
+    hand) loads one record per line into a fresh census, with the errors
+    below.  Both give the census that the lines spell out.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise CorruptFile(f"{path}: not ASCII: {exc}") from None
-    census = _load_heads(text)
-    if census is not None:
-        return census
-    lines = text.splitlines()
+    end = 0
+    for _ in range(6):  # the header's lines end at the sixth newline, if any
+        end = text.find("\n", end) + 1 or len(text)
+    lines = text[:end].splitlines()
     if not lines or lines[0] != _CENSUS_MAGIC:
         raise CorruptFile(f"{path}: not a census file")
     try:
@@ -914,7 +877,10 @@ def load_census(path) -> Census:
     if max_bits < MIN_PROGRAM_BITS or stage < 0:
         raise CorruptFile(f"{path}: bad header: max-bits {max_bits}, stage {stage}")
     _check_version(version, digest, f"{path}: census")
-    body = lines[6:]
+    census = Census(version, digest, max_bits, stage)
+    if _load_heads(census, text, end):
+        return census
+    body = text.splitlines()[6:]
     if len(body) != count:
         raise CorruptFile(f"{path}: expected {count} records, found {len(body)}")
     census = Census(version, digest, max_bits, stage)

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import reference_dovetail
 from conftest import IN_SET_TEXT
 from omegalab import dovetail, evaluator
 from omegalab.cli import _build_parser, main
@@ -614,3 +615,34 @@ def test_census_resume_runs_only_the_new_heads(capsys, tmp_path, monkeypatch):
     assert hashlib.sha256(resumed.read_bytes()).hexdigest() == (
         "338453c2b368f9814669f8c9ac709a372d68a5b825c72f55920282f19152656d"
     )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_census_resume_of_held_unknown_records(jobs, capsys, tmp_path):
+    """A stage-0 file of held records still unknown loads one record per
+    line; the resume runs each whole and writes what the per-record
+    reference writes."""
+    census = dovetail.new_census(20)
+    for bits in (
+        program_head("a") + "000",  # decodable, past the enrolled range
+        "0" * 18,  # undecodable
+        program_head("(read-bit)") + "1",  # oversized, a valid halt
+        program_head("(' a)") + "1",  # oversized, leaves a bit unread
+        program_head("b") + "0",  # inside the range the resume enrols
+    ):
+        census.records[bits] = dovetail.Record(bits)
+    first, resumed = tmp_path / "0.census", tmp_path / "2.census"
+    dovetail.save_census(census, first)
+    code, _, _ = run_cli(
+        capsys, "census", "--resume", str(first), "--stages", "2",
+        "--out", str(resumed), "--jobs", jobs,
+    )
+    assert code == 0
+    reference = reference_dovetail.advance(reference_dovetail.load_census(first), 2)
+    assert {r.status for r in reference.records.values()} == {
+        dovetail.STATUS_HALTED_VALID, dovetail.STATUS_HALTED_INVALID,
+        dovetail.STATUS_ABORTED,
+    }
+    expected = tmp_path / "reference.census"
+    dovetail.save_census(reference, expected)
+    assert resumed.read_bytes() == expected.read_bytes()

@@ -687,17 +687,25 @@ def test_read_paths_match_whole_string_runs(jobs, stages):
     }
 
 
-def test_held_records_share_their_texts_read_paths(monkeypatch):
-    """Held records are grouped by text and walk its read paths: the 2,047
-    countdown programs with 0 to 10 data bits cost the three runs of the
-    paths "", "0" and "1", not one run each."""
+def test_held_records_run_whole_one_run_each(monkeypatch):
+    """A held record still unknown runs whole: the 2,047 countdown programs
+    with 0 to 10 data bits cost one ``run_program`` call each, and no read
+    path runs."""
     head = program_head(COUNTDOWN_TEXT)
     census = _hand_enrolled(24, [head + data for data in _all_data(10)])
     assert len(census.records) == 2047
     expected = _reference_advance(copy.deepcopy(census), 2)
-    runs = _counting_runs(monkeypatch)
+    paths = _counting_runs(monkeypatch)
+    runs = []
+    run_program = dovetail.run_program
+
+    def counted(program, budget):
+        runs.append(program.bits)
+        return run_program(program, budget)
+
+    monkeypatch.setattr(dovetail, "run_program", counted)
     advance(census, 2)
-    assert sorted(runs) == [head, head + "0", head + "1"]
+    assert runs == list(census.records) and paths == []
     assert census == expected
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DIVERGER_TEXT, IN_SET_TEXT, bit_strings
+from omegalab import evaluator
 from omegalab.evaluator import (
     AbortOverrun,
     BitTape,
@@ -166,12 +167,12 @@ print(type(out).__name__, out.steps)
 
 def test_closure_check_walks_a_shared_value_once_per_node():
     # In a child process: the value must not be compared or printed here,
-    # both take time exponential in the doubling count.
-    tests = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(tests), "src"))
+    # both take time exponential in the doubling count.  The child imports
+    # the same source tree as this process.
+    src = os.path.dirname(os.path.dirname(evaluator.__file__))
     result = subprocess.run(
         [sys.executable, "-c", SHARED_DOUBLING_SCRIPT],
-        env=env,
+        env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=60,
@@ -392,8 +393,6 @@ def test_tape_monotonicity_fuzzed():
 )
 def test_list_recursion_walks_values_a_bounded_number_of_times(monkeypatch, text, steps):
     # Walking whole values on every step made list recursion quadratic.
-    from omegalab import evaluator
-
     walks = []
 
     def counted(walk):
