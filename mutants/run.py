@@ -202,11 +202,27 @@ MUTANTS = (
         ("tests/test_sexpr.py", "-k", "matches_two_stage_reference"),
     ),
     Mutant(
-        "closure-check-every-path",
+        "view-append-past-tip",
         "evaluator.py",
-        "if type(node) is tuple and id(node) not in seen:",
-        "if type(node) is tuple:",
+        "                if len(store) == n:\n                    store.append(x)\n",
+        "                if True:\n                    store.append(x)\n",
+        ("tests/test_reference_evaluator.py", "-k", "list_shapes"),
+    ),
+    Mutant(
+        "materialise-every-path",
+        "evaluator.py",
+        "                if child[3] is not None:\n"
+        "                    acc.append(child[3])\n"
+        "                elif not child[2]:\n",
+        "                if not child[2]:\n",
         ("tests/test_evaluator.py", "-k", "shared_value_once_per_node"),
+    ),
+    Mutant(
+        "eq-skips-length-check",
+        "evaluator.py",
+        "    if (a[1] if type(a) is list else len(a)) != (b[1] if type(b) is list else len(b)):\n",
+        "    if len(_plain(a)) != len(_plain(b)):\n",
+        ("tests/test_evaluator.py", "-k", "linear_total_length"),
     ),
 )
 

@@ -21,6 +21,13 @@ programs cannot overflow the host stack; configured step caps are the only
 depth limit.  ``=`` falls back to an iterative comparison for values nested
 too deeply for Python's own.
 
+``head``, ``tail`` and ``join`` take constant time, as car, cdr and cons do
+in LISP.  Inside a run, a list built by ``join`` or ``tail`` is a view of a
+shared store (see ``_materialise``); a quoted list stays a tuple until the
+first ``tail`` or ``join`` on it copies it into a store once.  Views are
+turned into tuples only for ``=``, ``display`` and the final value, so every
+value that leaves ``evaluate`` is a plain expression of atoms and tuples.
+
 This module also owns the fixed binary program format, because
 ``(run-remaining)`` reads embedded programs from the tape: 8 bits per
 character of program text, the separator byte 0x00, then raw data bits.
@@ -222,9 +229,8 @@ class Closure:
 
     A closure equals whatever equals its source ``("lambda", params,
     body)``: another closure with the same parameters and body, whatever
-    its environment, or that plain expression, also inside a list, where
-    tuple comparison falls back to this ``__eq__``.  So ``=`` compares
-    values as their rendered forms without rendering them.
+    its environment, or that plain expression.  A closure inside a list is
+    rendered as that source when the list is turned into a tuple.
     """
 
     __slots__ = ("params", "body", "env")
@@ -243,7 +249,16 @@ class Closure:
         return hash(("lambda", self.params, self.body))
 
 
-Value = Union[str, tuple, Closure]
+# A run-time list built by join or tail: a view [store, n, deep, built].
+# The store is a Python list holding the view's n items last-first, so the
+# head is store[n - 1] and the tail is the same store with n - 1.  Views of
+# one store share it: join appends to the store when the view is its tip
+# (len(store) == n), shares when the next item already is the one joined,
+# and copies the n items otherwise, so store[:n] never changes once a view
+# has it.  deep is true when a view or closure may sit among the n items;
+# built holds the view's tuple once one is made.  No other value is a
+# Python list, and no view leaves ``evaluate``.
+Value = Union[str, tuple, Closure, list]
 
 
 def is_define_form(expr: SExpr) -> bool:
@@ -255,68 +270,88 @@ def _defines_then_body(program: tuple) -> bool:
     return all(map(is_define_form, program[:-1]))
 
 
-def render_value(value: Value) -> SExpr:
-    """Map a runtime value to a plain expression; closures read back as
-    their (lambda (params) body) source.
-
-    Rendering keeps equality: ``render_value(a) == render_value(b)``
-    exactly when ``a == b`` (see ``Closure``).  A list is walked in full,
-    so the evaluator renders a list only when a closure may sit in one.
-    """
-    if type(value) is str:
-        return value
+def _plain(value: Value) -> SExpr:
+    """A value as a plain expression: views become tuples and closures
+    read back as their (lambda (params) body) source."""
+    if type(value) is list:
+        return _materialise(value)
     if type(value) is Closure:
         return ("lambda", value.params, value.body)
-    if not _contains_closure(value):
-        return value
-    return _rebuild(value)
+    return value
 
 
-def _contains_closure(value: tuple) -> bool:
-    # Each node once, by identity: a DAG is not walked once per path.
-    seen: set[int] = set()
-    stack = [value]
-    while stack:
-        node = stack.pop()
-        if type(node) is Closure:
-            return True
-        if type(node) is tuple and id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node)
-    return False
+def _flat_items(store: list, n: int) -> tuple:
+    # The view's items in list order, in one C-level copy.  A tip is
+    # reversed in place and back, so no temporary list the size of the
+    # value is made.
+    if len(store) == n:
+        store.reverse()
+        items = tuple(store)
+        store.reverse()
+        return items
+    return tuple(store[n - 1 :: -1])
 
 
-def _rebuild(root: tuple) -> tuple:
-    # Bottom-up copy; memo on node identity preserves sharing so values
-    # built as DAGs do not blow up into trees.
-    memo: dict[int, SExpr] = {}
-    stack: list[list] = [[root, 0, []]]
-    result: SExpr = ()
+def _materialise(view: list) -> tuple:
+    """The tuple a view stands for, with nested views turned into tuples
+    and closures rendered as their source.
+
+    The walk is iterative, and each view keeps its tuple once built: a
+    value shared along many paths, such as a list doubled n times, is
+    walked once per node, not once per path.
+    """
+    if view[3] is not None:
+        return view[3]
+    if not view[2]:
+        view[3] = _flat_items(view[0], view[1])
+        return view[3]
+    stack: list[list] = [[view, view[1], []]]
     while stack:
         frame = stack[-1]
-        node, i, acc = frame
-        if i < len(node):
-            frame[1] = i + 1
-            child = node[i]
-            if type(child) is str:
-                acc.append(child)
+        node, left, acc = frame
+        if left:
+            frame[1] = left - 1
+            child = node[0][left - 1]
+            if type(child) is list:
+                if child[3] is not None:
+                    acc.append(child[3])
+                elif not child[2]:
+                    child[3] = _flat_items(child[0], child[1])
+                    acc.append(child[3])
+                else:
+                    stack.append([child, child[1], []])
             elif type(child) is Closure:
                 acc.append(("lambda", child.params, child.body))
             else:
-                hit = memo.get(id(child))
-                if hit is not None:
-                    acc.append(hit)
-                else:
-                    stack.append([child, 0, []])
+                acc.append(child)
         else:
             stack.pop()
-            built = tuple(acc)
-            memo[id(node)] = built
+            node[3] = tuple(acc)
             if stack:
-                stack[-1][2].append(built)
-            else:
-                result = built
-    return result
+                stack[-1][2].append(node[3])
+    return view[3]
+
+
+def _view_equal(a: Value, b: Value) -> bool:
+    """``a = b`` where a or b is a view.  Lengths are compared first, and
+    two views of one store with one length are the same list, so neither
+    case builds a tuple."""
+    if type(a) is Closure:
+        a = ("lambda", a.params, a.body)
+    if type(b) is Closure:
+        b = ("lambda", b.params, b.body)
+    if type(a) is str or type(b) is str:
+        return False
+    if (a[1] if type(a) is list else len(a)) != (b[1] if type(b) is list else len(b)):
+        return False
+    if type(a) is list and type(b) is list and a[0] is b[0]:
+        return True
+    a = _plain(a)
+    b = _plain(b)
+    try:
+        return a == b
+    except RecursionError:
+        return _deep_equal(a, b)
 
 
 def _deep_equal(a: Value, b: Value) -> bool:
@@ -406,9 +441,6 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
     nbits = len(bits)
     steps = 0
     emitted: list = []
-    # Set once a closure is joined into a list, the only way one gets
-    # there; until then no list needs rendering.
-    listed_closure = False
     vals: list = []
     if len(program) == 1:
         work = [(_EV, program[0], Env({}, None))]
@@ -531,38 +563,57 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
             work.append((_EV, task[1] if cond != "false" else task[2], task[3]))
         elif op == _EQ:
             b = vals.pop()
-            a = vals.pop()
-            try:
-                same = a == b
-            except RecursionError:
-                same = _deep_equal(a, b)
-            vals.append("true" if same else "false")
+            a = vals[-1]
+            if type(a) is list or type(b) is list:
+                same = _view_equal(a, b)
+            else:
+                try:
+                    same = a == b
+                except RecursionError:
+                    same = _deep_equal(a, b)
+            vals[-1] = "true" if same else "false"
         elif op == _HEAD:
-            v = vals.pop()
-            if type(v) is tuple:
-                vals.append(v[0] if v else ())
-            else:
-                vals.append(v)
+            v = vals[-1]
+            if type(v) is list:
+                vals[-1] = v[0][v[1] - 1]
+            elif type(v) is tuple:
+                vals[-1] = v[0] if v else ()
         elif op == _TAIL:
-            v = vals.pop()
-            if type(v) is tuple:
-                vals.append(v[1:] if v else ())
+            v = vals[-1]
+            if type(v) is list:
+                n = v[1] - 1
+                vals[-1] = [v[0], n, v[2], None] if n else ()
+            elif type(v) is tuple and len(v) > 1:
+                store = list(v)
+                store.reverse()
+                vals[-1] = [store, len(v) - 1, False, None]
             else:
-                vals.append(())
+                vals[-1] = ()
         elif op == _JOIN:
             y = vals.pop()
-            x = vals.pop()
-            if type(x) is Closure:
-                listed_closure = True
-            vals.append((x,) + y if type(y) is tuple else (x,))
+            x = vals[-1]
+            deep = type(x) is list or type(x) is Closure
+            if type(y) is list:
+                store = y[0]
+                n = y[1]
+                if len(store) == n:
+                    store.append(x)
+                elif store[n] is not x:
+                    store = store[:n]
+                    store.append(x)
+                vals[-1] = [store, n + 1, deep or y[2], None]
+            elif type(y) is tuple and y:
+                store = list(y)
+                store.reverse()
+                store.append(x)
+                vals[-1] = [store, len(store), deep, None]
+            else:
+                vals[-1] = [[x], 1, deep, None]
         elif op == _ATOMQ:
             v = vals.pop()
             vals.append("true" if type(v) is str else "false")
         elif op == _DISPLAY:
-            v = vals[-1]
-            if listed_closure or type(v) is Closure:
-                v = render_value(v)
-            emitted.append(v)
+            emitted.append(_plain(vals[-1]))
         elif op == _DROP:
             vals.pop()
         else:  # _BIND
@@ -570,8 +621,5 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
             task[2].bindings[task[1]] = v
             vals.append(task[1])
 
-    final = vals.pop()
-    if listed_closure or type(final) is Closure:
-        final = render_value(final)
-    return _halted(final, cursor - start, steps, tuple(emitted))
+    return _halted(_plain(vals.pop()), cursor - start, steps, tuple(emitted))
 

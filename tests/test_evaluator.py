@@ -148,10 +148,13 @@ def test_display_renders_closures_inside_lists():
     assert type(out.emitted[0][0]) is tuple
 
 
-# Once a closure sits in a list every final value is checked for closures;
-# this one doubles a shared node 60 times, so it has 2**60 paths but only
-# 61 distinct lists.
+# The final value doubles a shared node 60 times, so it has 2**60 paths but
+# only 61 distinct lists; the run also puts a closure in a list.  Turning
+# the value into tuples, and rendering any closure in it, must walk each
+# list once.
 SHARED_DOUBLING_SCRIPT = """
+import resource
+
 from omegalab.evaluator import BitTape, evaluate
 from omegalab.sexpr import parse
 
@@ -160,6 +163,8 @@ text = (
     "(define (dbl x n) (if (= n ()) x (dbl (join x (join x ())) (tail n))))"
     "(dbl (' a) (' (" + " ".join(["1"] * 60) + ")))"
 )
+# A walk per path would run for years: end it after 5 s of CPU time.
+resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
 out = evaluate(parse(text), BitTape(""), 4096)
 print(type(out).__name__, out.steps)
 """
@@ -402,12 +407,36 @@ def test_list_recursion_walks_values_a_bounded_number_of_times(monkeypatch, text
 
         return wrapper
 
-    for name in ("_contains_closure", "_rebuild", "_deep_equal"):
+    for name in ("_materialise", "_deep_equal"):
         monkeypatch.setattr(evaluator, name, counted(getattr(evaluator, name)))
     items = "(" + " ".join("abcde"[i % 5] for i in range(2000)) + ")"
     out = run(text % items, budget=10**6)
     assert isinstance(out, Halted) and out.steps == steps
     assert len(walks) <= 2
-    # the counter sees walks where a closure sits in a list
+    # the counter sees the walk of a displayed list
     run("(display (join (lambda (x) x) ()))")
     assert walks
+
+
+def test_list_reversal_builds_tuples_of_linear_total_length(monkeypatch):
+    # join and tail build no tuple; a reversal of n items builds its
+    # result once, not a copy of the list per step (about n*n/2 items).
+    built = []
+    materialise = evaluator._materialise
+
+    def counted(view):
+        items = materialise(view)
+        built.append(len(items))
+        return items
+
+    monkeypatch.setattr(evaluator, "_materialise", counted)
+    n = 2000
+    items = tuple("abcde"[i % 5] for i in range(n))
+    out = run(
+        "(define (rev l a) (if (= l ()) a (rev (tail l) (join (head l) a))))"
+        " (rev (' (%s)) ())" % " ".join(items),
+        budget=10**6,
+    )
+    assert isinstance(out, Halted) and out.steps == 12 * n + 10
+    assert out.value == items[::-1]
+    assert sum(built) <= 2 * n
