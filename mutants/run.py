@@ -202,6 +202,29 @@ MUTANTS = (
         ("tests/test_sexpr.py", "-k", "matches_two_stage_reference"),
     ),
     Mutant(
+        "reader-split-before-alphabet",
+        "sexpr.py",
+        "    if not TEXT_CHARS.issuperset(text):\n",
+        "    if \"(\" not in text and \")\" not in text and \"'\" not in text:\n"
+        "        return tuple(text.split())\n"
+        "    if not TEXT_CHARS.issuperset(text):\n",
+        ("tests/test_sexpr.py", "-k", "illegal_character or atoms_only"),
+    ),
+    Mutant(
+        "reader-split-ignores-quote",
+        "sexpr.py",
+        """if "(" not in text and ")" not in text and "'" not in text:""",
+        """if "(" not in text and ")" not in text:""",
+        ("tests/test_sexpr.py", "-k", "quote_sugar or atoms_only"),
+    ),
+    Mutant(
+        "call-pads-with-an-atom",
+        "evaluator.py",
+        "args += [()] * (len(params) - len(args))",
+        'args += ["nil"] * (len(params) - len(args))',
+        ("tests/test_evaluator.py", "-k", "arity_padding"),
+    ),
+    Mutant(
         "view-append-past-tip",
         "evaluator.py",
         "                if len(store) == n:\n                    store.append(x)\n",

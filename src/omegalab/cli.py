@@ -9,6 +9,7 @@ inputs give byte-identical output.  Exit codes: 0 success, 1 domain error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -292,6 +293,9 @@ def _at_least(minimum: int):
     return count
 
 
+# One parser serves every call in a process: its defaults are module
+# constants, and each parse makes a fresh namespace.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omegalab",

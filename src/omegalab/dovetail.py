@@ -313,12 +313,17 @@ def enumerate_programs(max_bits: int) -> Iterator[BinaryProgram]:
 # --- the dovetail ---------------------------------------------------------
 
 
+# The tape of every run with no data; a tape is frozen, so one serves all.
+_EMPTY_TAPE = _checked_tape("")
+
+
 def _run_path(text: str, data: str, budget: int) -> Outcome:
     """The outcome of the program of a parseable text and its data at the
     budget: the text's cached parse runs on the data directly, as
     ``run_program`` does once it has decoded them."""
+    tape = _checked_tape(data) if data else _EMPTY_TAPE
     # machine.evaluate is the name the benchmark tracer wraps.
-    return machine.evaluate(sexpr.parse_program_cached(text), _checked_tape(data), budget)
+    return machine.evaluate(sexpr.parse_program_cached(text), tape, budget)
 
 
 def _path_of(out: Outcome, budget: int) -> PathFields:
@@ -736,12 +741,31 @@ def _census_text(census: Census, read=None) -> Iterator[str]:
                 j += count
 
 
+_CHUNK_CHARS = 1 << 16
+
+
+def _chunks(pieces: Iterator[str]) -> Iterator[str]:
+    """The pieces joined into chunks, so that one write call serves many
+    pieces: a chunk ends with the piece that brings it to
+    ``_CHUNK_CHARS`` characters."""
+    chunk: list[str] = []
+    size = 0
+    for piece in pieces:
+        chunk.append(piece)
+        size += len(piece)
+        if size >= _CHUNK_CHARS:
+            yield "".join(chunk)
+            chunk = []
+            size = 0
+    yield "".join(chunk)
+
+
 def save_census(census: Census, path) -> None:
     """Write the census as a line-oriented, diffable text file."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.writelines(_census_text(census))
+            fh.writelines(_chunks(_census_text(census)))
         os.replace(tmp, path)
     finally:
         # Gone already after a successful replace; left by a failed write.

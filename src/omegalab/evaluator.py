@@ -19,7 +19,9 @@ lookup, so bindings never shadow them.
 The machine runs on an explicit work stack, so deep recursion in evaluated
 programs cannot overflow the host stack; configured step caps are the only
 depth limit.  ``=`` falls back to an iterative comparison for values nested
-too deeply for Python's own.
+too deeply for Python's own.  An environment is a plain ``(bindings,
+parent)`` pair, so a run or a closure call makes a dict and a tuple, not
+an object.
 
 ``head``, ``tail`` and ``join`` take constant time, as car, cdr and cons do
 in LISP.  Inside a run, a list built by ``join`` or ``tail`` is a view of a
@@ -213,19 +215,15 @@ def scan_program(
     return exprs, text, at + 8
 
 
-class Env:
-    """Name bindings with innermost-first lookup."""
-
-    __slots__ = ("bindings", "parent")
-
-    def __init__(self, bindings: dict, parent: Optional["Env"]):
-        self.bindings = bindings
-        self.parent = parent
+# An environment is a (bindings, parent) pair, looked up innermost first;
+# the global environment's parent is None.
+Env = tuple[dict, Optional["Env"]]
 
 
 class Closure:
     """A lambda value: its source parameters and body plus the defining
-    environment.
+    environment, a ``(bindings, parent)`` pair.  A call binds the
+    parameters in a new pair whose parent is that environment.
 
     A closure equals whatever equals its source ``("lambda", params,
     body)``: another closure with the same parameters and body, whatever
@@ -417,8 +415,8 @@ def _push_sequence(work: list, exprs: tuple, env: Env) -> None:
 
 
 def _global_env(env: Env) -> Env:
-    while env.parent is not None:
-        env = env.parent
+    while env[1] is not None:
+        env = env[1]
     return env
 
 
@@ -433,7 +431,7 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
     program = tuple(program)
     if not program:
         return MalformedProgram(EMPTY_PROGRAM)
-    if not _defines_then_body(program):
+    if len(program) > 1 and not _defines_then_body(program):
         return MalformedProgram(NON_DEFINE_FORM)
 
     bits = tape.bits
@@ -443,10 +441,10 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
     emitted: list = []
     vals: list = []
     if len(program) == 1:
-        work = [(_EV, program[0], Env({}, None))]
+        work = [(_EV, program[0], ({}, None))]
     else:
         work = []
-        _push_sequence(work, program, Env({}, None))
+        _push_sequence(work, program, ({}, None))
 
     while work:
         task = work.pop()
@@ -461,11 +459,11 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
             if type(expr) is str:
                 e = env
                 while e is not None:
-                    v = e.bindings.get(expr, _MISS)
+                    v = e[0].get(expr, _MISS)
                     if v is not _MISS:
                         vals.append(v)
                         break
-                    e = e.parent
+                    e = e[1]
                 else:
                     vals.append(expr)
                 continue
@@ -502,7 +500,7 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
                     inner, _, cursor = scanned
                     if not _defines_then_body(inner):
                         return _aborted(steps, tuple(emitted))
-                    _push_sequence(work, inner, Env({}, None))
+                    _push_sequence(work, inner, ({}, None))
                     continue
                 if head == "lambda":
                     spec = _arg(expr, 1)
@@ -523,13 +521,13 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
                     ):
                         name = expr[1][0]
                         params = tuple(p for p in expr[1][1:] if type(p) is str)
-                        root.bindings[name] = Closure(params, _arg(expr, 2), root)
+                        root[0][name] = Closure(params, _arg(expr, 2), root)
                         vals.append(name)
                     elif len(expr) > 2 and type(expr[1]) is str:
                         work.append((_BIND, expr[1], root))
                         work.append((_EV, expr[2], env))
                     elif len(expr) == 2 and type(expr[1]) is str:
-                        root.bindings[expr[1]] = ()
+                        root[0][expr[1]] = ()
                         vals.append(expr[1])
                     else:
                         vals.append(())
@@ -552,10 +550,9 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
             fn = vals.pop()
             if type(fn) is Closure:
                 params = fn.params
-                bindings = {}
-                for i, p in enumerate(params):
-                    bindings[p] = args[i] if i < len(args) else ()
-                work.append((_EV, fn.body, Env(bindings, fn.env)))
+                if len(args) < len(params):
+                    args += [()] * (len(params) - len(args))
+                work.append((_EV, fn.body, (dict(zip(params, args)), fn.env)))
             else:
                 vals.append(fn)
         elif op == _BRANCH:
@@ -618,7 +615,7 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
             vals.pop()
         else:  # _BIND
             v = vals.pop()
-            task[2].bindings[task[1]] = v
+            task[2][0][task[1]] = v
             vals.append(task[1])
 
     return _halted(_plain(vals.pop()), cursor - start, steps, tuple(emitted))

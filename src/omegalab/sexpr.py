@@ -70,6 +70,11 @@ def parse(text: str) -> tuple[SExpr, ...]:
         for i, c in enumerate(text):
             if c not in TEXT_CHARS:
                 raise IllegalCharacter(i, c)
+    # A text with no structural character is atoms between whitespace.
+    # This comes after the alphabet check: str.split also splits on
+    # characters outside the alphabet, such as \x0b and \xa0.
+    if "(" not in text and ")" not in text and "'" not in text:
+        return tuple(text.split())
     # The list being read, the positions of its sugar quote marks waiting
     # for an expression, and (list, quote marks, open position) of each
     # enclosing list; the top level is the bottom list.

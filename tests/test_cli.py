@@ -646,3 +646,47 @@ def test_census_resume_of_held_unknown_records(jobs, capsys, tmp_path):
     expected = tmp_path / "reference.census"
     dovetail.save_census(reference, expected)
     assert resumed.read_bytes() == expected.read_bytes()
+
+
+def _outputs(capsys, argvs):
+    """Exit code, stdout and stderr of each command, a usage error's
+    SystemExit code taken as its exit code."""
+    results = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_main_builds_one_parser_per_process(capsys, tmp_path, monkeypatch):
+    """Commands in one process answer as they do each from a parser of
+    their own, and all of them share one parser."""
+    out = str(tmp_path / "17.census")
+    argvs = [
+        ["census", "--stages", "2", "--max-bits", "17", "--out", out],
+        ["omega", "--census", out, "--bits", "16", "--decide-bits", "17"],
+        ["omega", "--census", out, "--bits", "-1"],
+        ["--format", "json", "parse", "--expr", "(a  'b)"],
+        ["census", "--stages", "1", "--out", out, "--resume", out, "--max-bits", "24"],
+    ]
+    fresh = []
+    for argv in argvs:
+        _build_parser.cache_clear()
+        fresh += _outputs(capsys, [argv])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _build_parser.cache_clear()
+    assert _outputs(capsys, argvs) == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2]
+    # The top-level parser and one per subcommand, built once.
+    assert len(built) == 1 + 10

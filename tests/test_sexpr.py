@@ -8,9 +8,10 @@ from hypothesis import given
 
 import reference_format
 from conftest import ATOM_ALPHABET, IN_SET_TEXT, random_sexpr, sexprs
-from omegalab.evaluator import Closure, Env
+from omegalab.evaluator import Closure
 from omegalab.sexpr import (
     QUOTE_ATOM,
+    TEXT_CHARS,
     DanglingQuote,
     IllegalCharacter,
     SExprError,
@@ -22,7 +23,9 @@ from omegalab.sexpr import (
 )
 
 
-@pytest.mark.parametrize("bad,pos", [("a\x01b", 1), ("é", 0), ("(x \x7f)", 3)])
+@pytest.mark.parametrize(
+    "bad,pos", [("a\x01b", 1), ("é", 0), ("(x \x7f)", 3), ("a\x0bb", 1), ("a\xa0", 1)]
+)
 def test_parse_illegal_character(bad, pos):
     with pytest.raises(IllegalCharacter) as err:
         parse(bad)
@@ -61,6 +64,31 @@ def test_parse_matches_two_stage_reference():
         assert _read(parse, text) == _read(reference_format.parse, text), text
         count += 1
     assert count == 55_987 + 200_000 + 1
+
+
+# Characters that str.split takes for whitespace but the reader rejects.
+SPLIT_ONLY_WHITESPACE = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
+
+
+def test_parse_of_atoms_only_matches_reference():
+    """The reader splits a text with no paren or quote mark on whitespace.
+    It gives the same expressions, or the same error, as the reference
+    reader on every text of at most two characters over the text alphabet
+    and the characters str.split also splits on, and on seeded longer
+    texts of atom characters and whitespace."""
+    chars = sorted(TEXT_CHARS) + list(SPLIT_ONLY_WHITESPACE)
+    assert len(chars) == 98 + 8
+    texts = [""] + chars + ["".join(pair) for pair in itertools.product(chars, repeat=2)]
+    rng = random.Random(2401)
+    symbols = ATOM_ALPHABET + " \t\n\r"
+    texts += ["".join(rng.choices(symbols, k=rng.randrange(3, 41))) for _ in range(20_000)]
+    errors = set()
+    for text in texts:
+        expected = _read(reference_format.parse, text)
+        assert _read(parse, text) == expected, repr(text)
+        if type(expected) is tuple and expected and type(expected[0]) is type:
+            errors.add(expected[0])
+    assert errors == {IllegalCharacter, UnbalancedParens, DanglingQuote}
 
 
 def test_parse_matches_reference_on_large_inputs():
@@ -221,7 +249,7 @@ def test_print_canonical_matches_reference_on_generated_values(x):
 def test_print_canonical_errors_match_per_node_reference():
     """The first bad node in print order raises, with the same type and
     message, whether it sits in a list of atoms or deeper."""
-    closure = Closure(("p",), "p", Env({}, None))
+    closure = Closure(("p",), "p", ({}, None))
     bad_nodes = ["", "a b", " ", "a(", "(", ")", "a'b", "'x", "x'", "''",
                  "\t", "\u00e9", 7, closure]
     cases = []
