@@ -247,6 +247,48 @@ MUTANTS = (
         "    if len(_plain(a)) != len(_plain(b)):\n",
         ("tests/test_evaluator.py", "-k", "linear_total_length"),
     ),
+    Mutant(
+        "stream-skips-eof-check",
+        "dovetail.py",
+        "    return not fh.read(1)\n",
+        "    return True\n",
+        ("tests/test_dovetail.py", "-k", "text_after_the_last_line"),
+    ),
+    Mutant(
+        "stream-trusts-own-line",
+        "dovetail.py",
+        "            elif piece != line:\n                return False\n",
+        "",
+        ("tests/test_dovetail.py", "-k", "fuzzed"),
+    ),
+    Mutant(
+        "stream-holds-the-text",
+        "dovetail.py",
+        "    fh.seek(0)\n    line = None",
+        "    text = fh.read()\n    fh.seek(0)\n    line = None",
+        ("tests/test_dovetail.py", "-k", "small_part"),
+    ),
+    Mutant(
+        "path-fields-keeps-line-status",
+        "dovetail.py",
+        "            return STATUS_HALTED_VALID, steps, parts[4], data_bits\n",
+        "            return status, steps, parts[4], data_bits\n",
+        ("tests/test_dovetail.py", "-k", "small_part"),
+    ),
+    Mutant(
+        "ascii-pass-skipped",
+        "dovetail.py",
+        "    newlines = _ascii_newlines(path)\n",
+        "    newlines = 1 << 62\n",
+        ("tests/test_dovetail.py", "-k", "non_ascii_byte"),
+    ),
+    Mutant(
+        "ascii-pass-chunk-offset",
+        "dovetail.py",
+        "in position {offset + exc.start}",
+        "in position {exc.start}",
+        ("tests/test_dovetail.py", "-k", "non_ascii_byte"),
+    ),
 )
 
 

@@ -133,8 +133,10 @@ class Census:
     without materialising; only the last two spell head bits.
     ``load_census`` puts a file saved from per-text state back into it,
     filling the columns from each text's own-length line and the read paths
-    from theirs as one walk renders and checks the file, and any other file
-    into ``records``; both give the census the file's lines spell out.
+    from theirs as one walk reads the file front to back, a piece at a time,
+    and checks each piece against its render; it never holds the file's
+    text.  Any other file it reads whole into ``records``; both give the
+    census the file's lines spell out.
     Equality and repr are those of (version, config digest, max bits, stage,
     records).
 
@@ -800,35 +802,38 @@ def _path_fields(line: str, data_bits: int) -> PathFields:
     halt read all of the path's data, an abort with steps overran it, an
     abort in 0 steps is malformed and read nothing, and an unknown run read
     nothing.  Raises ``_NotHeads`` for a line that no read path gives its
-    own bits, and for a value that ``str.splitlines`` would split."""
+    own bits, and for a value that ``str.splitlines`` would split.  The
+    status is the module's constant, not the line's copy, so that a loaded
+    census, like a built one, holds one string per status."""
     parts = line.split(" ", 4)
     if len(parts) == 5 and parts[3].isdigit():
         status, steps = parts[2], int(parts[3])
         if status == STATUS_HALTED_VALID and parts[4].isprintable():
-            return status, steps, parts[4], data_bits
+            return STATUS_HALTED_VALID, steps, parts[4], data_bits
         if status == STATUS_ABORTED:
-            return status, steps, None, None if steps else 0
+            return STATUS_ABORTED, steps, None, None if steps else 0
         if status == STATUS_UNKNOWN:
-            return status, steps, None, 0
+            return STATUS_UNKNOWN, steps, None, 0
     raise _NotHeads
 
 
-def _load_heads(census: Census, text: str, body: int) -> bool:
-    """Load the file ``text`` into the census's per-text state if
+def _load_heads(census: Census, fh, newlines: int) -> bool:
+    """Load the open file ``fh`` into the census's per-text state if
     ``save_census`` wrote it from such state; returns whether it did, and a
     False leaves the census part-filled.  The census was built from the
-    file's header, and its body starts at ``body``.
+    file's header, and ``newlines`` counts the newlines after it.
 
     Such a file holds the derived records of the window from the shortest
     program to ``enrolled_bits`` and no held record, so its enrolled texts
     follow from the header.  One walk renders the file from them through
-    ``_census_text`` and compares each piece with the text where the last
-    one ended.  The walk first reaches a read path at the path's own
-    length, where its piece is the path's own line: the path's fields are
-    read from that line of the text (``_path_fields``), then checked by the
-    render like every other piece.  A text's run with no data fills the
-    columns, and starts the text's read paths if it aborted.  No list of
-    lines is built.
+    ``_census_text`` and reads each piece from the file, from its start,
+    which must give the piece back.  The walk first reaches a read path at
+    the path's own length, where its piece is the path's own line: that
+    line is read from the file (``fh.readline``), the path's fields come
+    from it (``_path_fields``), and the piece rendered from them must equal
+    it.  A text's run with no data fills the columns, and starts the
+    text's read paths if it aborted.  The file must end where the walk
+    does.  Only a piece at a time is held, never the file's text.
     """
     if census.stage < 1:
         return False
@@ -838,55 +843,68 @@ def _load_heads(census: Census, text: str, body: int) -> bool:
     # bit lengths are compared first, so that a forged stage or max-bits
     # never builds a huge power of two.
     last = census.enrolled_bits
-    newlines = text.count("\n", body)
     spread = last - MIN_PROGRAM_BITS
     if spread >= newlines.bit_length() or (2 << spread) - 1 > newlines:
         return False
     census._window = MIN_PROGRAM_BITS, last
     _realign(census, parseable_texts_upto(max_text_chars(last)))
 
-    at = 0  # where the walk's next piece must start
+    fh.seek(0)
+    line = None  # a path's own line, read ahead of its piece
 
     def read(data_bits: int) -> PathFields:
-        end = text.find("\n", at)
-        if end < 0:
+        nonlocal line
+        line = fh.readline()
+        if not line.endswith("\n"):
             raise _NotHeads
-        return _path_fields(text[at:end], data_bits)
+        return _path_fields(line[:-1], data_bits)
 
     try:
         for piece in _census_text(census, read):
-            if not text.startswith(piece, at):
+            if line is None:
+                if fh.read(len(piece)) != piece:
+                    return False
+            elif piece != line:
                 return False
-            at += len(piece)
+            else:
+                line = None
     except _NotHeads:
         return False
-    return at == len(text)
+    return not fh.read(1)
 
 
-def load_census(path) -> Census:
-    """Read a census file; rejects other machine versions and truncated or
-    mangled files, headers or records no census run can produce, and
-    numbers or hex spelled otherwise than ``save_census`` spells them.
+# Under glibc's default 128 KiB mmap threshold, so that every block reuses
+# the same heap memory: 1 MiB blocks left about 1 MB more of the process
+# resident after a 24/10 load (ru_maxrss).
+_READ_BYTES = 1 << 16
 
-    The header's lines are split as ``str.splitlines`` splits the whole
-    file, but only they are split.  A file that ``save_census`` writes from
-    a census's per-text state (an enumerated census with no held record)
-    then loads into that state in one walk that reads each read path's line
-    and checks every piece of the file as it goes (``_load_heads``), with
-    no ``Record`` and no list of lines built.  Any other file (held
-    records, hand-enrolled or oversized lines, stage 0, a file edited by
-    hand) loads one record per line into a fresh census, with the errors
-    below.  Both give the census that the lines spell out.
-    """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise CorruptFile(f"{path}: not ASCII: {exc}") from None
-    end = 0
-    for _ in range(6):  # the header's lines end at the sixth newline, if any
-        end = text.find("\n", end) + 1 or len(text)
-    lines = text[:end].splitlines()
+
+def _ascii_newlines(path) -> int:
+    """The number of newlines in the file, counted in one binary pass of
+    ``_READ_BYTES`` at a time.  Raises ``CorruptFile`` at the first byte
+    that is not ASCII, with the message that decoding the whole file as
+    ASCII gives: the byte and its offset in the file."""
+    newlines = offset = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_READ_BYTES):
+            if not chunk.isascii():
+                try:
+                    chunk.decode("ascii")
+                except UnicodeDecodeError as exc:
+                    raise CorruptFile(
+                        f"{path}: not ASCII: 'ascii' codec can't decode byte "
+                        f"0x{chunk[exc.start]:02x} in position {offset + exc.start}: "
+                        f"{exc.reason}"
+                    ) from None
+            newlines += chunk.count(b"\n")
+            offset += len(chunk)
+    return newlines
+
+
+def _header(path, head: str) -> tuple[Census, int]:
+    """An empty census of the file's header, the text ``head`` up to its
+    sixth newline, and the header's record count."""
+    lines = head.splitlines()
     if not lines or lines[0] != _CENSUS_MAGIC:
         raise CorruptFile(f"{path}: not a census file")
     try:
@@ -901,13 +919,42 @@ def load_census(path) -> Census:
     if max_bits < MIN_PROGRAM_BITS or stage < 0:
         raise CorruptFile(f"{path}: bad header: max-bits {max_bits}, stage {stage}")
     _check_version(version, digest, f"{path}: census")
-    census = Census(version, digest, max_bits, stage)
-    if _load_heads(census, text, end):
-        return census
+    return Census(version, digest, max_bits, stage), count
+
+
+def load_census(path) -> Census:
+    """Read a census file; rejects other machine versions and truncated or
+    mangled files, headers or records no census run can produce, and
+    numbers or hex spelled otherwise than ``save_census`` spells them.
+
+    A first binary pass rejects a byte that is not ASCII and counts the
+    newlines.  The header is the text up to the sixth newline, split as
+    ``str.splitlines`` splits the whole file.  A file that ``save_census``
+    writes from a census's per-text state (an enumerated census with no
+    held record) then loads into that state in one walk that reads the
+    file front to back, reads each read path's fields from its own line
+    and checks every piece of the file as it goes (``_load_heads``), with
+    no ``Record`` and never the whole text held.  Any other file (held
+    records, hand-enrolled or oversized lines, stage 0, a file edited by
+    hand) is read whole and loads one record per line into a fresh census,
+    with the errors below.  Both give the census that the lines spell out.
+    """
+    newlines = _ascii_newlines(path)
+    try:
+        with open(path, "r", encoding="ascii", newline="\n") as fh:
+            head = "".join(fh.readline() for _ in range(6))
+            census, count = _header(path, head)
+            if _load_heads(census, fh, newlines - head.count("\n")):
+                return census
+            fh.seek(0)
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # the file changed after the first pass
+        raise CorruptFile(f"{path}: not ASCII: {exc}") from None
     body = text.splitlines()[6:]
     if len(body) != count:
         raise CorruptFile(f"{path}: expected {count} records, found {len(body)}")
-    census = Census(version, digest, max_bits, stage)
+    # A fresh census: a walk that failed may have part-filled the first.
+    census = Census(census.version, census.config_digest, census.max_bits, census.stage)
     for line in body:
         try:
             hex_text, length_text, status, steps_text, value = line.split(" ", 4)

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -442,22 +443,41 @@ def test_load_rejects_non_census(tmp_path):
         load_census(path)
 
 
-def _non_ascii_census() -> bytes:
-    """A stage-0 header at 17 bits and one record whose steps field is a
-    superscript two, spelled in UTF-8."""
+def _non_ascii_census(magic: str = "omegalab census 1", padding: int = 0) -> bytes:
+    """A stage-0 header at 17 bits and a record whose steps field is a
+    superscript two, spelled in UTF-8, after padding unknown records of
+    22 bytes each; the header's count holds without the padding."""
     return (
-        f"omegalab census 1\nversion {dovetail.MACHINE_VERSION}\n"
+        f"{magic}\nversion {dovetail.MACHINE_VERSION}\n"
         f"config {dovetail.config_hash()}\nmax-bits 17\nstage 0\nrecords 1\n"
-        "2100 16 unknown \u00b2 -\n"
+        + f"{bits_to_hex('1' * 17)} 17 unknown 4 -\n" * padding
+        + "2100 16 unknown \u00b2 -\n"
     ).encode("utf-8")
 
 
 def test_load_rejects_a_non_ascii_byte_as_corrupt(tmp_path):
+    """Before any other error, with the message that decoding the whole
+    file gives: the byte and its offset in the file.  The first pass reads
+    a block at a time, so 48,000 padding records put the byte a megabyte
+    past its first read; another magic is a header error that the byte,
+    far from the header, must win over."""
     path = tmp_path / "u.census"
-    path.write_bytes(_non_ascii_census())
-    with pytest.raises(CorruptFile, match="not ASCII") as raised:
-        load_census(path)
-    assert str(raised.value).startswith(f"{path}: ")
+    for data, position in [
+        (_non_ascii_census(), 111),
+        (_non_ascii_census(padding=48_000), 1_056_111),
+        (_non_ascii_census(magic="omegalab census 2", padding=48_000), 1_056_111),
+    ]:
+        path.write_bytes(data)
+        with pytest.raises(CorruptFile) as raised:
+            load_census(path)
+        message = (
+            f"{path}: not ASCII: 'ascii' codec can't decode byte 0xc2 "
+            f"in position {position}: ordinal not in range(128)"
+        )
+        assert str(raised.value) == message
+        with pytest.raises(UnicodeDecodeError) as decoded:
+            data.decode("ascii")
+        assert message == f"{path}: not ASCII: {decoded.value}"
 
 
 def test_load_rejects_duplicate_records(tmp_path):
@@ -1259,6 +1279,104 @@ def test_heads_file_reads_each_path_line_once(reading, tmp_path, monkeypatch, re
     runs = len(census._texts) + sum(len(paths) - 1 for paths in census._paths.values())
     assert len(read) == len(set(read)) == runs
     assert _per_text_state(census) == _per_text_state(saved)
+
+
+def test_load_holds_a_small_part_of_the_file(tmp_path):
+    """The walk streams the pinned 28/12 file (32 MB): the load's peak of
+    traced memory stays under a quarter of the file, where a load that
+    holds the whole text holds at least twice the file; and the loaded
+    census holds no more strings than the built one."""
+    census = advance(new_census(28), 12)
+    path = _saved(census, tmp_path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CENSUS_SHA256[28, 12]
+    tracemalloc.start()
+    try:
+        loaded = load_census(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+    assert _per_text_state(loaded) == _per_text_state(census)
+    # One string per status, as advance keeps them, not one per text.
+    assert {id(status) for status in loaded._status} == {
+        id(status) for status in census._status
+    }
+
+
+# --- fuzzed files against the per-record loader ----------------------------
+
+
+def _regions(path, monkeypatch):
+    """The byte spans of the lines of a file that loads into heads, by
+    kind: the header's lines, the own lines the load reads read paths'
+    fields from, and the lines of the other blocks."""
+    read = set()
+    path_fields = dovetail._path_fields
+
+    def recorded(line, data_bits):
+        read.add(line)
+        return path_fields(line, data_bits)
+
+    monkeypatch.setattr(dovetail, "_path_fields", recorded)
+    assert load_census(path)._window is not None
+    monkeypatch.setattr(dovetail, "_path_fields", path_fields)
+    regions = {"header": [], "own": [], "block": []}
+    at = 0
+    for i, line in enumerate(path.read_text().split("\n")[:-1]):
+        kind = "header" if i < 6 else "own" if line in read else "block"
+        regions[kind].append((at, at + len(line) + 1))
+        at += len(line) + 1
+    return regions
+
+
+def _fuzzed_outcome(path, tmp_path):
+    """Load path with both loaders; the per-record loader must give a
+    census or raise CorruptFile or VersionMismatch, and load_census the
+    same census or error.  Where the per-record loader lets a
+    UnicodeDecodeError out, load_census raises CorruptFile with the
+    decoder's message."""
+    try:
+        reference_dovetail.load_census(path)
+    except UnicodeDecodeError as exc:
+        with pytest.raises(CorruptFile) as raised:
+            load_census(path)
+        assert str(raised.value) == f"{path}: not ASCII: {exc}"
+        return "not ASCII"
+    except (CorruptFile, VersionMismatch) as exc:
+        outcome = type(exc).__name__
+    else:
+        outcome = "loaded"
+    _assert_loads_like_reference(path, tmp_path)
+    return outcome
+
+
+@pytest.mark.parametrize("pinned", ["20-6", "own-line-pool-4"])
+def test_fuzzed_files_load_like_reference(pinned, tmp_path, monkeypatch):
+    """Seeded truncations at any offset, and seeded one-bit flips in the
+    header, in own lines and in blocks of a pinned file: each gives the
+    per-record loader's census, saved to the same bytes, or its error,
+    which is a CorruptFile but for a flip in the machine's version or
+    config (VersionMismatch)."""
+    if pinned == "20-6":
+        census, digest = advance(new_census(20), 6), GOLDEN_CENSUS_SHA256[20, 6]
+    else:
+        min_bits = _use_pool(monkeypatch, _OWN_LINE_POOL)
+        census, digest = advance(new_census(min_bits + 3), 4), _OWN_LINE_SHA256[4]
+    path = _saved(census, tmp_path, "pinned.census")
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    rng = random.Random(2500 + len(pinned))
+    cases = [data[:rng.randrange(len(data))] for _ in range(40)]
+    for spans in _regions(path, monkeypatch).values():
+        for _ in range(25):
+            i = rng.randrange(*rng.choice(spans))
+            cases.append(data[:i] + bytes([data[i] ^ 1 << rng.randrange(8)]) + data[i + 1:])
+    fuzzed = tmp_path / "fuzzed.census"
+    outcomes = Counter()
+    for case in cases:
+        fuzzed.write_bytes(case)
+        outcomes[_fuzzed_outcome(fuzzed, tmp_path)] += 1
+    assert {"loaded", "CorruptFile", "not ASCII"} <= set(outcomes)
 
 
 # --- deciding halting and finding winners from read paths -------------------
