@@ -78,13 +78,19 @@ MUTANTS = (
         ("tests/test_dovetail.py", "-k", "matches_per_record_reference"),
     ),
     Mutant(
-        "record-fields-every-halt-valid",
+        "blocks-every-halt-valid",
         "dovetail.py",
-        "    if status == STATUS_HALTED_VALID and read != len(data):\n"
-        "        status = STATUS_HALTED_INVALID\n"
-        "    return status, steps, value_text",
-        "    return status, steps, value_text",
+        "        if status == STATUS_HALTED_VALID and bits_read != n:\n"
+        "            status = STATUS_HALTED_INVALID\n",
+        "",
         ("tests/test_dovetail.py", "-k", "read_paths_match or decide_from_paths"),
+    ),
+    Mutant(
+        "decide-skips-held-below-window",
+        "dovetail.py",
+        "    held(MIN_PROGRAM_BITS, min(first - 1, n_bits))\n",
+        "",
+        ("tests/test_dovetail.py", "-k", "window_above_the_shortest"),
     ),
     Mutant(
         "held-halt-always-valid",

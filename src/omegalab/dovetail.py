@@ -141,13 +141,13 @@ class Census:
     records).
 
     ``winner`` answers from an index of value texts memoised in
-    ``value_index`` and keyed on the stage and the number of held records;
-    a lookup under a new key rebuilds it from the valid halts.  So every
-    writer must change the stage or the held count: ``advance`` raises the
-    stage, ``load_census`` builds a new census, and enrolling a record
-    materialises the derived ones and grows the count.  Rewriting a held
-    record in place changes neither and leaves the index stale.  The memo
-    takes no part in equality or repr and is never saved.
+    ``value_index``, which it builds from the valid halts when the memo is
+    None.  Each reading of ``records`` and each ``advance`` resets it to
+    None, since either may precede a change to the records, and
+    ``load_census`` builds a new census.  So a caller who keeps the dict
+    across a query and then changes a record must read ``records`` again
+    before the next query.  The memo takes no part in equality or repr and
+    is never saved.
     """
 
     __slots__ = (
@@ -166,10 +166,11 @@ class Census:
         self._texts: tuple[str, ...] = ()
         self._status, self._steps, self._values = [], [], []  # None: no run yet
         self._paths: dict[str, dict[str, PathFields]] = {}
-        self.value_index: tuple[tuple[int, int], dict[str, str]] | None = None
+        self.value_index: dict[str, str] | None = None
 
     @property
     def records(self) -> dict[str, Record]:
+        self.value_index = None
         if self._window is not None:
             _materialise(self)
         return self._records
@@ -198,10 +199,9 @@ class Census:
     def winner(self, value_text: str) -> str | None:
         """Bits of the shortest program recorded as halting validly with the
         value, or None; ties go to the earliest record, held records first."""
-        key = (self.stage, len(self._records))
-        if self.value_index is None or self.value_index[0] != key:
-            self.value_index = (key, _value_index(_valid_halts(self)))
-        return self.value_index[1].get(value_text)
+        if self.value_index is None:
+            self.value_index = _value_index(_valid_halts(self))
+        return self.value_index.get(value_text)
 
 
 def _value_index(halts: dict[str, str]) -> dict[str, str]:
@@ -373,22 +373,6 @@ def _decide_head(
     return paths
 
 
-def _record_fields(
-    paths: dict[str, PathFields], data: str
-) -> tuple[str, int, str | None]:
-    """(status, steps, value text) of the record of a text's program on the
-    data: the fields of the first path along the data that does not abort
-    short of its end; a halt is valid only when it read all of the data."""
-    end = 0
-    status, steps, value_text, read = paths[""]
-    while read is None and end < len(data):
-        end += 1
-        status, steps, value_text, read = paths[data[:end]]
-    if status == STATUS_HALTED_VALID and read != len(data):
-        status = STATUS_HALTED_INVALID
-    return status, steps, value_text
-
-
 def _blocks(
     paths: dict[str, PathFields], n: int, read=None
 ) -> Iterator[tuple[int, str, int, str | None]]:
@@ -491,21 +475,33 @@ def _derived_tally(census: Census) -> tuple[Counter, Counter]:
     return statuses, valid
 
 
+def _derived_blocks(
+    census: Census, upto: int
+) -> Iterator[tuple[str, tuple[str, ...], str, int, str | None]]:
+    """The derived records of at most upto bits, in enumeration order, a
+    read-path block at a time: (head bits, the block's data strings, status,
+    steps, value text)."""
+    for length, fit in _derived(census):
+        if length > upto:
+            return
+        texts = [census._texts[i] for i in fit]
+        for i, head in zip(fit, program_heads(texts)):
+            n = length - len(head)
+            data = _data_strings(n)
+            j = 0
+            for count, status, steps, value_text in _blocks(_text_paths(census, i), n):
+                yield head, data[j:j + count], status, steps, value_text
+                j += count
+
+
 def _materialise(census: Census) -> None:
     """Write the derived records into the held ones and drop the per-text
     state; see ``Census``."""
     records = census._records
-    heads = program_heads(census._texts)
-    for length, fit in _derived(census):
-        for i in fit:
-            head = heads[i]
-            n = length - len(head)
-            j = 0
-            for count, status, steps, value_text in _blocks(_text_paths(census, i), n):
-                for suffix in _data_strings(n)[j:j + count]:
-                    bits = head + suffix
-                    records[bits] = Record(bits, status, steps, value_text)
-                j += count
+    for head, data, status, steps, value in _derived_blocks(census, census._window[1]):
+        for suffix in data:
+            bits = head + suffix
+            records[bits] = Record(bits, status, steps, value)
     census._window = None
     census._texts, census._paths = (), {}
     census._status, census._steps, census._values = [], [], []
@@ -554,6 +550,7 @@ def advance(
     _check_version(census.version, census.config_digest)
     if stages < 1:
         return census
+    census.value_index = None
     if census._window is not None and census._window[1] != census.enrolled_bits:
         _materialise(census)  # the stage was set by hand
     t = census.stage + stages
@@ -658,10 +655,10 @@ def decide_halting_via_omega(
     probability, and every program already halted is always labeled
     correctly.
 
-    A program inside the census's derived window is classified from its
-    text's run with no data or read paths, any other from its held record;
-    one with neither has no record and is not halting.  Nothing is
-    materialised.
+    The programs inside the census's derived window are classified a
+    read-path block at a time, the records one run decides (``_blocks``).
+    Outside the window a program has a held record or none, and one with
+    none is not halting.  Nothing is materialised.
 
     A caller that has already summed ``omega_lower_bound(census)`` passes
     it as ``bound`` so that the sum is not made again.
@@ -676,20 +673,20 @@ def decide_halting_via_omega(
             raise StageCapExceeded(stage_cap)
         advance(census, 1)
         bound = omega_lower_bound(census)
-    halting = []
-    rest = []
-    first, last = census._window or (0, -1)  # no length derives without one
-    seen = None  # the text whose paths are at hand
-    for text, head, data in _heads_and_data(n_bits):
-        bits = head + data
-        if first <= len(bits) <= last:
-            if text != seen:
-                seen, paths = text, _text_paths(census, bisect_left(census._texts, text))
-            status = _record_fields(paths, data)[0]
-        else:
+    halting, rest = [], []
+
+    def held(low: int, high: int) -> None:
+        for _, head, data in _heads_and_data(high, low):
+            bits = head + data
             record = census._records.get(bits)
-            status = record.status if record is not None else None
-        (halting if status == STATUS_HALTED_VALID else rest).append(bits)
+            valid = record is not None and record.status == STATUS_HALTED_VALID
+            (halting if valid else rest).append(bits)
+
+    first, last = census._window or (n_bits + 1, n_bits)  # none: all held
+    held(MIN_PROGRAM_BITS, min(first - 1, n_bits))
+    for head, data, status, _, _ in _derived_blocks(census, n_bits):
+        (halting if status == STATUS_HALTED_VALID else rest).extend(map(head.__add__, data))
+    held(last + 1, n_bits)
     return HaltingDecision(
         n_bits, omega_prefix, census.stage, bound, tuple(halting), tuple(rest)
     )

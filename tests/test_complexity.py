@@ -28,6 +28,7 @@ from omegalab.complexity import (
 from omegalab import dovetail
 from omegalab.complexity import _census_winner, _literal_of
 from omegalab.dovetail import (
+    STATUS_ABORTED,
     STATUS_HALTED_INVALID,
     STATUS_HALTED_VALID,
     STATUS_UNKNOWN,
@@ -465,6 +466,16 @@ def test_value_index_is_built_once_per_census_state(monkeypatch):
     for i in range(100):
         h_upper(subjects[i % len(subjects)], census)
     assert len(builds) == 2
+
+
+def test_winner_sees_a_held_record_rewritten_in_place():
+    census = advance(new_census(20), 4)
+    census.records  # materialised: the records are held from here on
+    witness = census.winner("a")
+    assert h_upper("a", census).bound_bits == 16
+    census.records[witness].status = STATUS_ABORTED
+    assert census.winner("a") is None
+    assert h_upper("a", census).bound_bits == 48  # the literal
 
 
 def test_h_relative_same_value_within_relay_overhead(desk_census):

@@ -1383,7 +1383,8 @@ def test_fuzzed_files_load_like_reference(pinned, tmp_path, monkeypatch):
 
 
 def _per_record_decision(census, n_bits):
-    """Oracle: classify each program of at most n_bits by its record."""
+    """Oracle: classify each program of at most n_bits by its record; given
+    a per-record reference census, independent of the read-path blocks."""
     records = copy.deepcopy(census).records
     halting, rest = [], []
     for _, head, data in dovetail._heads_and_data(n_bits):
@@ -1397,11 +1398,11 @@ def _per_record_decision(census, n_bits):
 
 @pytest.mark.parametrize("n_bits", [16, 18, 21, 23, 24])
 def test_decide_from_paths_matches_per_record_decision(n_bits):
-    census = advance(new_census(24), 5)  # enrolled to 21 bits
+    census, reference = _both(new_census(24), [5])  # enrolled to 21 bits
     decision = decide_halting_via_omega(DyadicRational.zero(), n_bits, census)
     assert census._window is not None  # nothing materialised
     assert decision.stop_stage == 5
-    expected = _per_record_decision(census, n_bits)
+    expected = _per_record_decision(reference, n_bits)
     assert (decision.halting, decision.not_halting_relative) == expected
     if n_bits > census.enrolled_bits:
         beyond = [bits for bits in decision.not_halting_relative
@@ -1420,14 +1421,28 @@ def test_decide_from_paths_and_held_records(n_bits):
     assert (program_head("a") + "0000" in decision.halting) == (n_bits >= 20)
 
 
+@pytest.mark.parametrize("n_bits", [16, 17, 18, 19, 20])
+def test_decide_from_a_window_above_the_shortest_length(n_bits):
+    """A census advanced after its records were read derives only from the
+    new window's first length: the shorter programs decide by their held
+    records."""
+    census, reference = _both(new_census(20), [1, "read", 1])
+    assert census._window == (18, 18)
+    decision = decide_halting_via_omega(DyadicRational.zero(), n_bits, census)
+    assert census._window is not None
+    assert (decision.halting, decision.not_halting_relative) == (
+        _per_record_decision(reference, n_bits)
+    )
+
+
 @pytest.mark.parametrize("extra", [0, 3, 6, 8])
 def test_decide_from_paths_that_read(extra, reading_pool):
-    census = advance(new_census(reading_pool + 8), 4)  # enrolled to +4 bits
+    census, reference = _both(new_census(reading_pool + 8), [4])  # to +4 bits
     n_bits = reading_pool + extra
     decision = decide_halting_via_omega(DyadicRational.zero(), n_bits, census)
     assert census._window is not None
     assert (decision.halting, decision.not_halting_relative) == (
-        _per_record_decision(census, n_bits)
+        _per_record_decision(reference, n_bits)
     )
 
 
@@ -1454,7 +1469,7 @@ def _assert_index_matches_records(census):
     assert {text: census.winner(text) for text in texts} == {
         text: expected.get(text) for text in texts
     }
-    assert census.value_index[1] == expected
+    assert census.value_index == expected
     assert (census._window is not None) == unread
 
 
