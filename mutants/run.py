@@ -103,17 +103,30 @@ MUTANTS = (
     Mutant(
         "valid-halts-any-status",
         "dovetail.py",
-        "            if status == STATUS_HALTED_VALID\n"
-        "            and first <= (size",
-        "            if first <= (size",
+        "        if status == STATUS_HALTED_VALID:\n            key = ",
+        "        if True:\n            key = ",
         ("tests/test_dovetail.py", "-k", "winner_from_paths_that_read"),
     ),
     Mutant(
         "valid-halts-window-start",
         "dovetail.py",
-        "and first <= (size := head_bits(len(texts[i])) + len(data)) <= last",
-        "and (size := head_bits(len(texts[i])) + len(data)) <= last",
+        "if first <= key[0] <= last and key <",
+        "if key[0] <= last and key <",
         ("tests/test_dovetail.py", "-k", "below_the_window"),
+    ),
+    Mutant(
+        "index-compares-length-only",
+        "dovetail.py",
+        "and key < derived.get(value_text, above):",
+        "and key[0] < derived.get(value_text, above)[0]:",
+        ("tests/test_dovetail.py", "tests/test_complexity.py", "-k", "winner or index"),
+    ),
+    Mutant(
+        "derived-shorter-length-whole-pool",
+        "dovetail.py",
+        "fits[chars] = [bisect_left(texts, text) for text in parseable_texts_upto(chars)]",
+        "fits[chars] = range(len(texts))",
+        ("tests/test_dovetail.py", "-k", "pinned"),
     ),
     Mutant(
         "aborted-run-kept-in-columns",
@@ -355,7 +368,7 @@ def main(names: list[str]) -> int:
                     print(f"error: {mutant.name}: pytest exit {result.returncode}\n"
                           f"{result.stdout}{result.stderr}")
                     return 2
-                print(f"{mutant.name:31} {seconds:5.1f} s  {verdict}", flush=True)
+                print(f"{mutant.name:33} {seconds:5.1f} s  {verdict}", flush=True)
         except LookupError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

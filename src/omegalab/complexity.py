@@ -5,8 +5,9 @@ explicit upper bound carried by a witness program: the smallest program
 found (in the searched range) that halts validly with the requested value.
 A literal quoting witness always exists, so every query returns a bound.
 The census search is one lookup: the census indexes its validly halting
-programs by value text once per state (stage and record count), keeping
-the shortest program for each value.
+programs by value text in one pass, keeping the first shortest program for
+each value, and keeps the index until an ``advance`` or a read of its
+records resets it.
 """
 
 from __future__ import annotations

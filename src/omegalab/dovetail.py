@@ -37,7 +37,7 @@ from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import machine, sexpr
 from .dyadic import DyadicRational
@@ -140,8 +140,14 @@ class Census:
     Equality and repr are those of (version, config digest, max bits, stage,
     records).
 
+    Whenever ``_window`` is set, ``_texts`` is the sorted pool
+    ``parseable_texts_upto(max_text_chars(_window[1]))``: ``advance`` and
+    ``_load_heads`` set both, ``_materialise`` clears both.  No held record
+    then has a length in the window: ``advance`` materialises before it
+    would enrol one, and so does reading ``records``.
+
     ``winner`` answers from an index of value texts memoised in
-    ``value_index``, which it builds from the valid halts when the memo is
+    ``value_index``, which ``_value_index`` builds when the memo is
     None.  Each reading of ``records`` and each ``advance`` resets it to
     None, since either may precede a change to the records, and
     ``load_census`` builds a new census.  So a caller who keeps the dict
@@ -200,60 +206,55 @@ class Census:
         """Bits of the shortest program recorded as halting validly with the
         value, or None; ties go to the earliest record, held records first."""
         if self.value_index is None:
-            self.value_index = _value_index(_valid_halts(self))
+            self.value_index = _value_index(self)
         return self.value_index.get(value_text)
 
 
-def _value_index(halts: dict[str, str]) -> dict[str, str]:
-    """Map each value text to the bits of its first shortest valid halt,
-    given every valid halt's bits and value text in record order.
+def _value_index(census: Census) -> dict[str, str]:
+    """Map each value text to the bits of its first shortest valid halt, in
+    one pass over the held records, then the runs, with nothing
+    materialised; halted-invalid records carry a value text too and are
+    left out.
 
-    Only a strictly shorter halt replaces an entry, so among equal lengths
-    the first in record order wins: enumeration order for any census that
-    advance built, held records first.
+    Among held records of one length the first wins.  Each run that halts
+    validly inside the window is one record, of its text's head and its
+    data (a halt on a read path read all of its data: the path extends one
+    whose run aborted, and repeats that run).  Per value the run of least
+    (length, pool position, data) wins, which is enumeration order: heads
+    compare as bytes, and a text that is a prefix of another ends in the
+    separator, so it sorts first.  A run beats a held record only when
+    shorter; no held length lies in the window (see ``Census``).  Only each
+    value's best run has its head spelled.
     """
     index: dict[str, str] = {}
-    for bits, value_text in halts.items():
+    for bits, record in census._records.items():
+        if record.status == STATUS_HALTED_VALID:
+            best = index.get(record.value_text)
+            if best is None or len(bits) < len(best):
+                index[record.value_text] = bits
+    if census._window is None:
+        return index
+    first, last = census._window
+    texts = census._texts
+    runs = itertools.chain(
+        zip(range(len(texts)), itertools.repeat(""), census._status, census._values),
+        ((bisect_left(texts, text), data, status, value_text)
+         for text, paths in census._paths.items()
+         for data, (status, _, value_text, _) in paths.items()),
+    )
+    derived: dict[str, tuple[int, int, str]] = {}
+    above = (last + 1,)  # after every key in the window
+    for i, data, status, value_text in runs:
+        if status == STATUS_HALTED_VALID:
+            key = head_bits(len(texts[i])) + len(data), i, data
+            if first <= key[0] <= last and key < derived.get(value_text, above):
+                derived[value_text] = key
+    heads = program_heads([texts[i] for _, i, _ in derived.values()])
+    for (value_text, (size, _, data)), head in zip(derived.items(), heads):
         best = index.get(value_text)
-        if best is None or len(bits) < len(best):
-            index[value_text] = bits
+        if best is None or size < len(best):
+            index[value_text] = head + data
     return index
-
-
-def _valid_halts(census: Census) -> dict[str, str]:
-    """Bits to value text of the census's halted-valid records, in record
-    order, without materialising: the held ones, then one per run that
-    halts validly inside the window, the record of the text's head and the
-    run's data.  Each read path but the empty one extends a path whose run
-    aborted, and its run repeats that run up to the abort, so a halt on it
-    read all of its data.  halted-invalid records carry a value text too
-    and are left out."""
-    halts = {
-        bits: record.value_text
-        for bits, record in census._records.items()
-        if record.status == STATUS_HALTED_VALID
-    }
-    if census._window is not None:
-        first, last = census._window
-        texts = census._texts
-        runs = itertools.chain(
-            zip(range(len(texts)), itertools.repeat(""), census._status, census._values),
-            ((bisect_left(texts, text), data, status, value_text)
-             for text, paths in census._paths.items()
-             for data, (status, _, value_text, _) in paths.items()),
-        )
-        derived = sorted(
-            (size, i, data, value_text)
-            for i, data, status, value_text in runs
-            if status == STATUS_HALTED_VALID
-            and first <= (size := head_bits(len(texts[i])) + len(data)) <= last
-        )
-        heads = program_heads([texts[i] for _, i, _, _ in derived])
-        halts.update(
-            (head + data, value_text)
-            for head, (_, _, data, value_text) in zip(heads, derived)
-        )
-    return halts
 
 
 def new_census(max_bits: int) -> Census:
@@ -405,19 +406,21 @@ def _text_paths(census: Census, i: int) -> dict[str, PathFields]:
     }
 
 
-def _derived(census: Census) -> Iterator[tuple[int, list[int]]]:
+def _derived(census: Census) -> Iterator[tuple[int, Sequence[int]]]:
     """(length, pool positions of the texts enrolled at that length, in
-    enumeration order) for each program length of the derived window."""
+    enumeration order) for each program length of the derived window: the
+    whole pool at the window's last length, and the positions of a shorter
+    length's own text pool in it (see ``Census``)."""
     if census._window is None:
         return
     first, last = census._window
-    chars = None
+    texts = census._texts
+    fits = {max_text_chars(last): range(len(texts))}
     for length in range(first, last + 1):
-        if max_text_chars(length) != chars:
-            chars = max_text_chars(length)
-            fits = map(chars.__ge__, map(len, census._texts))
-            fit = list(itertools.compress(range(len(census._texts)), fits))
-        yield length, fit
+        chars = max_text_chars(length)
+        if chars not in fits:
+            fits[chars] = [bisect_left(texts, text) for text in parseable_texts_upto(chars)]
+        yield length, fits[chars]
 
 
 def _derived_count(census: Census) -> int:
@@ -426,11 +429,13 @@ def _derived_count(census: Census) -> int:
     if census._window is None:
         return 0
     first, last = census._window
-    chars = Counter(map(len, census._texts))
-    return sum(
-        n * ((2 << (last - size)) - (1 << (max(first, size) - size)))
-        for size, n in zip(map(head_bits, chars), chars.values())
-    )
+    top = max_text_chars(last)
+    pools = [len(parseable_texts_upto(chars)) for chars in range(top)] + [len(census._texts)]
+    total = 0
+    for chars in range(1, top + 1):
+        n, size = pools[chars] - pools[chars - 1], head_bits(chars)
+        total += n * ((2 << (last - size)) - (1 << (max(first, size) - size)))
+    return total
 
 
 def _derived_tally(census: Census) -> tuple[Counter, Counter]:
@@ -438,7 +443,7 @@ def _derived_tally(census: Census) -> tuple[Counter, Counter]:
     records, counted by run: the columns by text length and status in one
     pass, the read paths one by one.  A run decides its extensions of every
     length in the window, but an abort only the record of its own length.
-    A valid halt read all of the path's data (see ``_valid_halts``), so it
+    A valid halt read all of the path's data (see ``_value_index``), so it
     is valid for the path itself, one record."""
     statuses: Counter = Counter()
     valid: Counter = Counter()

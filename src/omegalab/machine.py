@@ -104,11 +104,6 @@ class DecodedProgram:
     text: str
 
 
-_set_decoded_prefix = DecodedProgram.prefix.__set__
-_set_decoded_data = DecodedProgram.data.__set__
-_set_decoded_text = DecodedProgram.text.__set__
-
-
 def encode_program(prefix: Sequence[SExpr], data: str = "") -> BinaryProgram:
     """Pack a program: 8 bits per canonical-text character, separator byte,
     then the raw data bits."""
@@ -142,12 +137,7 @@ def decode_program(
     if type(scanned) is MalformedProgram:
         return scanned
     exprs, text, end = scanned
-    # Built through its slot setters, as every run decodes once.
-    decoded = _new(DecodedProgram)
-    _set_decoded_prefix(decoded, exprs)
-    _set_decoded_data(decoded, bits[end:])
-    _set_decoded_text(decoded, text)
-    return decoded
+    return DecodedProgram(exprs, bits[end:], text)
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,18 +161,21 @@ _set_result_data_length = RunResult.data_length.__set__
 
 
 def run_program(program: BinaryProgram, budget: int = DEFAULT_BUDGET) -> RunResult:
-    """Decode and run one binary program under a step budget of at least 1."""
+    """Decode and run one binary program under a step budget of at least 1:
+    the format is read by ``scan_program``, as ``decode_program`` reads it."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    decoded = decode_program(program)
+    bits = program.bits if type(program) is BinaryProgram else program
+    scanned = scan_program(bits, 0)
     # The result is built through its slot setters, as its outcome is.
     result = _new(RunResult)
-    if type(decoded) is MalformedProgram:
-        _set_result_outcome(result, decoded)
+    if type(scanned) is MalformedProgram:
+        _set_result_outcome(result, scanned)
         _set_result_data_length(result, 0)
         return result
-    data = decoded.data
-    _set_result_outcome(result, evaluate(decoded.prefix, _checked_tape(data), budget))
+    exprs, _, end = scanned
+    data = bits[end:]
+    _set_result_outcome(result, evaluate(exprs, _checked_tape(data), budget))
     _set_result_data_length(result, len(data))
     return result
 

@@ -289,14 +289,42 @@ def test_census_at_one_job_never_imports_the_process_pool(tmp_path):
 
 
 def test_census_env_var_directory(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("OMEGALAB_CENSUS_DIR", str(tmp_path))
-    code, _, _ = run_cli(
-        capsys, "census", "--stages", "1", "--out", "env.census", "--max-bits", "17"
-    )
-    assert code == 0
-    assert (tmp_path / "env.census").exists()
-    code, report, _ = run_json(capsys, "omega", "--census", "env.census")
-    assert code == 0
+    """A bare census file name resolves into OMEGALAB_CENSUS_DIR for every
+    command that reads or writes a census; an absolute path and a path
+    that holds a separator are left alone."""
+    base, work = tmp_path / "base", tmp_path / "work"
+    base.mkdir()
+    (work / "sub").mkdir(parents=True)
+    (work / "x.sexpr").write_text("a\n")
+    monkeypatch.setenv("OMEGALAB_CENSUS_DIR", str(base))
+    monkeypatch.chdir(work)
+
+    def census(*args):
+        assert run_json(capsys, "census", "--stages", "1", *args)[0] == 0
+
+    def stage_and_bound(path):
+        code, report, _ = run_json(capsys, "omega", "--census", path)
+        assert code == 0
+        code, estimate, _ = run_json(capsys, "complexity", "--of", "x.sexpr",
+                                     "--census", path)
+        assert code == 0
+        return report["stage"], estimate["search_exhausted_to"]
+
+    census("--max-bits", "18", "--out", "env.census")
+    census("--resume", "env.census", "--out", "resumed.census")
+    assert sorted(p.name for p in base.iterdir()) == ["env.census", "resumed.census"]
+    assert stage_and_bound("env.census") == (1, 17)
+    assert stage_and_bound("resumed.census") == (2, 18)
+
+    absolute = str(work / "abs.census")
+    nested = os.path.join("sub", "rel.census")
+    census("--max-bits", "18", "--out", absolute)
+    census("--resume", absolute, "--out", nested)
+    assert sorted(p.name for p in work.rglob("*.census")) == ["abs.census", "rel.census"]
+    assert (work / nested).exists()
+    assert stage_and_bound(absolute) == (1, 17)
+    assert stage_and_bound(nested) == (2, 18)
+    assert sorted(p.name for p in base.iterdir()) == ["env.census", "resumed.census"]
 
 
 def test_complexity_report(capsys, tmp_path):

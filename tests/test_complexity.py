@@ -450,9 +450,9 @@ def test_value_index_is_built_once_per_census_state(monkeypatch):
     builds = []
     build = dovetail._value_index
 
-    def counted(records):
-        builds.append(len(records))
-        return build(records)
+    def counted(census):
+        builds.append(census.stage)
+        return build(census)
 
     monkeypatch.setattr(dovetail, "_value_index", counted)
     census = advance(new_census(20), 4)
