@@ -179,9 +179,9 @@ MUTANTS = (
     Mutant(
         "run-remaining-free-step",
         "evaluator.py",
-        "                    inner, _, cursor = scanned\n",
-        "                    inner, _, cursor = scanned\n"
-        "                    steps -= 1\n",
+        "                inner, _, cursor = scanned\n",
+        "                inner, _, cursor = scanned\n"
+        "                steps -= 1\n",
         ("tests/test_dovetail.py", "-k", "plain_census_one_step_later"),
     ),
     Mutant(
@@ -246,9 +246,38 @@ MUTANTS = (
     Mutant(
         "view-append-past-tip",
         "evaluator.py",
-        "                if len(store) == n:\n                    store.append(x)\n",
-        "                if True:\n                    store.append(x)\n",
+        "                    if len(store) == n:\n                        store.append(x)\n",
+        "                    if True:\n                        store.append(x)\n",
         ("tests/test_reference_evaluator.py", "-k", "list_shapes"),
+    ),
+    Mutant(
+        "in-place-operand-free-step",
+        "evaluator.py",
+        "                expr = expr[1] if len(expr) > 1 else ()\n",
+        "                expr = expr[1] if len(expr) > 1 else ()\n"
+        "                steps -= 1\n",
+        ("tests/test_reference_evaluator.py", "-k", "edge"),
+    ),
+    Mutant(
+        "branch-on-true",
+        "evaluator.py",
+        'expr = task[1] if vals.pop() != "false" else task[2]',
+        'expr = task[1] if vals.pop() == "true" else task[2]',
+        ("tests/test_reference_evaluator.py", "-k", "edge"),
+    ),
+    Mutant(
+        "call-table-edge-arity",
+        "evaluator.py",
+        "work.append(_CALL_TASKS[argc] if argc < _CALL_TABLE else (_CALL, argc))",
+        "work.append(_CALL_TASKS[min(argc, _CALL_TABLE - 1)])",
+        ("tests/test_reference_evaluator.py", "-k", "edge"),
+    ),
+    Mutant(
+        "dedupe-merges-equal-shapes",
+        "incompleteness.py",
+        "        if any(_same(statement, member) for member in members):\n",
+        "        if members:\n",
+        ("tests/test_incompleteness.py", "-k", "run_theory"),
     ),
     Mutant(
         "materialise-every-path",

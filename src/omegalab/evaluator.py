@@ -16,9 +16,18 @@ Form names (``define if = ' quote head car tail cdr join atom? lambda
 read-bit display run-remaining``) are reserved: dispatch happens before
 lookup, so bindings never shadow them.
 
-The machine runs on an explicit work stack, so deep recursion in evaluated
-programs cannot overflow the host stack; configured step caps are the only
-depth limit.  ``=`` falls back to an iterative comparison for values nested
+The machine is an explicit-control evaluator (Abelson and Sussman, SICP
+section 5.4): a register holds the expression to evaluate next, and a work
+stack holds only what is needed later, the later operands of a form and
+the tasks that take the operands' values off a value stack.  The first
+subexpression of a form is evaluated in place from the register, with no
+task pushed for it: an application's operator, the first operand of an
+operand form, an ``if`` condition and the branch it chose, a value
+``define``'s expression, a program's first form and a called closure's
+body.  Forms are dispatched by one lookup from the head atom to the form
+kind.  Nothing recurses on the host stack, so deep recursion in evaluated
+programs cannot overflow it; configured step caps are the only depth
+limit.  ``=`` falls back to an iterative comparison for values nested
 too deeply for Python's own.  An environment is a plain ``(bindings,
 parent)`` pair, so a run or a closure call makes a dict and a tuple, not
 an object.
@@ -373,45 +382,69 @@ def _deep_equal(a: Value, b: Value) -> bool:
     return True
 
 
-# Work-stack opcodes.
+# Work-stack opcodes.  A task is a tuple whose first item is its opcode:
+# _EV evaluates a later operand; the others take their operands' values
+# from the value stack.
 _EV = 0
-_DROP = 1
+_CALL = 1
 _BRANCH = 2
-_CALL = 3
-_EQ = 4
+_EQ = 3
+_JOIN = 4
 _HEAD = 5
 _TAIL = 6
-_JOIN = 7
-_ATOMQ = 8
-_DISPLAY = 9
+_ATOMQ = 7
+_DISPLAY = 8
+_DROP = 9
 _BIND = 10
 
-# Forms that evaluate their operands left to right, then apply one opcode
-# to the values: form name -> (opcode task, operand count).  Operand 2 is
-# pushed first, so operand 1 is evaluated first.
-_OPERAND_FORMS = {
-    "=": ((_EQ,), 2),
-    "join": ((_JOIN,), 2),
-    "head": ((_HEAD,), 1),
-    "car": ((_HEAD,), 1),
-    "tail": ((_TAIL,), 1),
-    "cdr": ((_TAIL,), 1),
-    "atom?": ((_ATOMQ,), 1),
-    "display": ((_DISPLAY,), 1),
+# Form kinds that are no opcode.
+_QUOTE = 11
+_IF = 12
+_READ_BIT = 13
+_RUN_REMAINING = 14
+_LAMBDA = 15
+_DEFINE = 16
+
+# Form name -> form kind: the one lookup that dispatches a form.  A form
+# of kind up to _DISPLAY evaluates its operands left to right, then runs
+# its kind as an opcode on their values: two operands up to _JOIN, one
+# after.
+_FORMS = {
+    "=": _EQ,
+    "join": _JOIN,
+    "head": _HEAD,
+    "car": _HEAD,
+    "tail": _TAIL,
+    "cdr": _TAIL,
+    "atom?": _ATOMQ,
+    "display": _DISPLAY,
+    QUOTE_ATOM: _QUOTE,
+    "quote": _QUOTE,
+    "if": _IF,
+    "read-bit": _READ_BIT,
+    "run-remaining": _RUN_REMAINING,
+    "lambda": _LAMBDA,
+    "define": _DEFINE,
 }
+
+# Tasks built once: each operand form's opcode task, and the call tasks of
+# applications with fewer than _CALL_TABLE operands.
+_OPCODE_TASKS = tuple((op,) for op in range(_DISPLAY + 1))
+_CALL_TABLE = 8
+_CALL_TASKS = tuple((_CALL, argc) for argc in range(_CALL_TABLE))
+_DROP_TASK = (_DROP,)
 
 _MISS = object()
 
 
-def _arg(expr: tuple, i: int) -> SExpr:
-    return expr[i] if len(expr) > i else ()
-
-
-def _push_sequence(work: list, exprs: tuple, env: Env) -> None:
-    work.append((_EV, exprs[-1], env))
-    for i in range(len(exprs) - 2, -1, -1):
-        work.append((_DROP,))
+def _push_sequence(work: list, exprs: tuple, env: Env) -> SExpr:
+    """Push the tasks that evaluate exprs[1:] in order in env, dropping the
+    value of every form but the last, and return exprs[0], which the caller
+    evaluates in place."""
+    for i in range(len(exprs) - 1, 0, -1):
         work.append((_EV, exprs[i], env))
+        work.append(_DROP_TASK)
+    return exprs[0]
 
 
 def _global_env(env: Env) -> Env:
@@ -440,183 +473,186 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
     steps = 0
     emitted: list = []
     vals: list = []
-    if len(program) == 1:
-        work = [(_EV, program[0], ({}, None))]
-    else:
-        work = []
-        _push_sequence(work, program, ({}, None))
+    work: list = []
+    # The register: the expression to evaluate next, in env.
+    env = ({}, None)
+    expr = _push_sequence(work, program, env) if len(program) > 1 else program[0]
 
-    while work:
-        task = work.pop()
-        op = task[0]
-
-        if op == _EV:
-            steps += 1
-            if steps > budget:
-                return _out_of_time(tuple(emitted))
-            expr = task[1]
-            env = task[2]
-            if type(expr) is str:
-                e = env
-                while e is not None:
-                    v = e[0].get(expr, _MISS)
-                    if v is not _MISS:
-                        vals.append(v)
-                        break
-                    e = e[1]
-                else:
-                    vals.append(expr)
-                continue
-            if not expr:
-                vals.append(())
-                continue
+    while True:
+        # Evaluate the register's expression; every entry costs one step.
+        steps += 1
+        if steps > budget:
+            return _out_of_time(tuple(emitted))
+        if type(expr) is str:
+            e = env
+            while e is not None:
+                v = e[0].get(expr, _MISS)
+                if v is not _MISS:
+                    vals.append(v)
+                    break
+                e = e[1]
+            else:
+                vals.append(expr)
+        elif not expr:
+            vals.append(())
+        else:
             head = expr[0]
-            if type(head) is str:
-                if head == QUOTE_ATOM or head == "quote":
-                    vals.append(_arg(expr, 1))
-                    continue
-                if head == "if":
-                    work.append((_BRANCH, _arg(expr, 2), _arg(expr, 3), env))
-                    work.append((_EV, _arg(expr, 1), env))
-                    continue
-                form = _OPERAND_FORMS.get(head)
-                if form is not None:
-                    then, arity = form
-                    work.append(then)
-                    if arity == 2:
-                        work.append((_EV, _arg(expr, 2), env))
-                    work.append((_EV, _arg(expr, 1), env))
-                    continue
-                if head == "read-bit":
-                    if cursor >= nbits:
-                        return _aborted(steps, tuple(emitted))
-                    vals.append(bits[cursor])
-                    cursor += 1
-                    continue
-                if head == "run-remaining":
-                    scanned = scan_program(bits, cursor)
-                    if type(scanned) is MalformedProgram:
-                        return _aborted(steps, tuple(emitted))
-                    inner, _, cursor = scanned
-                    if not _defines_then_body(inner):
-                        return _aborted(steps, tuple(emitted))
-                    _push_sequence(work, inner, ({}, None))
-                    continue
-                if head == "lambda":
-                    spec = _arg(expr, 1)
-                    params = (
-                        tuple(p for p in spec if type(p) is str)
-                        if type(spec) is tuple
-                        else ()
+            kind = _FORMS.get(head) if type(head) is str else None
+            if kind is None:
+                # Application: the operator in place, then the operands
+                # left to right.
+                argc = len(expr) - 1
+                work.append(_CALL_TASKS[argc] if argc < _CALL_TABLE else (_CALL, argc))
+                for i in range(argc, 0, -1):
+                    work.append((_EV, expr[i], env))
+                expr = head
+                continue
+            if kind <= _DISPLAY:
+                work.append(_OPCODE_TASKS[kind])
+                if kind <= _JOIN:
+                    work.append((_EV, expr[2] if len(expr) > 2 else (), env))
+                expr = expr[1] if len(expr) > 1 else ()
+                continue
+            if kind == _IF:
+                if len(expr) < 4:
+                    expr = (*expr, (), (), ())
+                work.append((_BRANCH, expr[2], expr[3], env))
+                expr = expr[1]
+                continue
+            if kind == _QUOTE:
+                vals.append(expr[1] if len(expr) > 1 else ())
+            elif kind == _READ_BIT:
+                if cursor >= nbits:
+                    return _aborted(steps, tuple(emitted))
+                vals.append(bits[cursor])
+                cursor += 1
+            elif kind == _RUN_REMAINING:
+                scanned = scan_program(bits, cursor)
+                if type(scanned) is MalformedProgram:
+                    return _aborted(steps, tuple(emitted))
+                inner, _, cursor = scanned
+                if not _defines_then_body(inner):
+                    return _aborted(steps, tuple(emitted))
+                env = ({}, None)
+                expr = _push_sequence(work, inner, env)
+                continue
+            elif kind == _LAMBDA:
+                spec = expr[1] if len(expr) > 1 else ()
+                params = (
+                    tuple(p for p in spec if type(p) is str)
+                    if type(spec) is tuple
+                    else ()
+                )
+                vals.append(Closure(params, expr[2] if len(expr) > 2 else (), env))
+            else:  # _DEFINE
+                root = _global_env(env)
+                if (
+                    len(expr) > 1
+                    and type(expr[1]) is tuple
+                    and expr[1]
+                    and type(expr[1][0]) is str
+                ):
+                    name = expr[1][0]
+                    params = tuple(p for p in expr[1][1:] if type(p) is str)
+                    root[0][name] = Closure(
+                        params, expr[2] if len(expr) > 2 else (), root
                     )
-                    vals.append(Closure(params, _arg(expr, 2), env))
+                    vals.append(name)
+                elif len(expr) > 2 and type(expr[1]) is str:
+                    work.append((_BIND, expr[1], root))
+                    expr = expr[2]
                     continue
-                if head == "define":
-                    root = _global_env(env)
-                    if (
-                        len(expr) > 1
-                        and type(expr[1]) is tuple
-                        and expr[1]
-                        and type(expr[1][0]) is str
-                    ):
-                        name = expr[1][0]
-                        params = tuple(p for p in expr[1][1:] if type(p) is str)
-                        root[0][name] = Closure(params, _arg(expr, 2), root)
-                        vals.append(name)
-                    elif len(expr) > 2 and type(expr[1]) is str:
-                        work.append((_BIND, expr[1], root))
-                        work.append((_EV, expr[2], env))
-                    elif len(expr) == 2 and type(expr[1]) is str:
-                        root[0][expr[1]] = ()
-                        vals.append(expr[1])
-                    else:
-                        vals.append(())
-                    continue
-            # Application: operator first, then operands left to right.
-            argc = len(expr) - 1
-            work.append((_CALL, argc))
-            for i in range(argc, 0, -1):
-                work.append((_EV, expr[i], env))
-            work.append((_EV, head, env))
-            continue
+                elif len(expr) == 2 and type(expr[1]) is str:
+                    root[0][expr[1]] = ()
+                    vals.append(expr[1])
+                else:
+                    vals.append(())
 
-        if op == _CALL:
-            argc = task[1]
-            if argc:
-                args = vals[-argc:]
-                del vals[-argc:]
-            else:
-                args = []
-            fn = vals.pop()
-            if type(fn) is Closure:
-                params = fn.params
-                if len(args) < len(params):
-                    args += [()] * (len(params) - len(args))
-                work.append((_EV, fn.body, (dict(zip(params, args)), fn.env)))
-            else:
+        # A value is on the value stack: run tasks until one names the
+        # next expression to evaluate.
+        while work:
+            task = work.pop()
+            op = task[0]
+            if op == _EV:
+                expr = task[1]
+                env = task[2]
+                break
+            if op == _CALL:
+                argc = task[1]
+                if argc:
+                    args = vals[-argc:]
+                    del vals[-argc:]
+                else:
+                    args = []
+                fn = vals.pop()
+                if type(fn) is Closure:
+                    params = fn.params
+                    if len(args) < len(params):
+                        args += [()] * (len(params) - len(args))
+                    expr = fn.body
+                    env = (dict(zip(params, args)), fn.env)
+                    break
                 vals.append(fn)
-        elif op == _BRANCH:
-            cond = vals.pop()
-            work.append((_EV, task[1] if cond != "false" else task[2], task[3]))
-        elif op == _EQ:
-            b = vals.pop()
-            a = vals[-1]
-            if type(a) is list or type(b) is list:
-                same = _view_equal(a, b)
-            else:
-                try:
-                    same = a == b
-                except RecursionError:
-                    same = _deep_equal(a, b)
-            vals[-1] = "true" if same else "false"
-        elif op == _HEAD:
-            v = vals[-1]
-            if type(v) is list:
-                vals[-1] = v[0][v[1] - 1]
-            elif type(v) is tuple:
-                vals[-1] = v[0] if v else ()
-        elif op == _TAIL:
-            v = vals[-1]
-            if type(v) is list:
-                n = v[1] - 1
-                vals[-1] = [v[0], n, v[2], None] if n else ()
-            elif type(v) is tuple and len(v) > 1:
-                store = list(v)
-                store.reverse()
-                vals[-1] = [store, len(v) - 1, False, None]
-            else:
-                vals[-1] = ()
-        elif op == _JOIN:
-            y = vals.pop()
-            x = vals[-1]
-            deep = type(x) is list or type(x) is Closure
-            if type(y) is list:
-                store = y[0]
-                n = y[1]
-                if len(store) == n:
+            elif op == _BRANCH:
+                expr = task[1] if vals.pop() != "false" else task[2]
+                env = task[3]
+                break
+            elif op == _EQ:
+                b = vals.pop()
+                a = vals[-1]
+                if type(a) is list or type(b) is list:
+                    same = _view_equal(a, b)
+                else:
+                    try:
+                        same = a == b
+                    except RecursionError:
+                        same = _deep_equal(a, b)
+                vals[-1] = "true" if same else "false"
+            elif op == _JOIN:
+                y = vals.pop()
+                x = vals[-1]
+                deep = type(x) is list or type(x) is Closure
+                if type(y) is list:
+                    store = y[0]
+                    n = y[1]
+                    if len(store) == n:
+                        store.append(x)
+                    elif store[n] is not x:
+                        store = store[:n]
+                        store.append(x)
+                    vals[-1] = [store, n + 1, deep or y[2], None]
+                elif type(y) is tuple and y:
+                    store = list(y)
+                    store.reverse()
                     store.append(x)
-                elif store[n] is not x:
-                    store = store[:n]
-                    store.append(x)
-                vals[-1] = [store, n + 1, deep or y[2], None]
-            elif type(y) is tuple and y:
-                store = list(y)
-                store.reverse()
-                store.append(x)
-                vals[-1] = [store, len(store), deep, None]
-            else:
-                vals[-1] = [[x], 1, deep, None]
-        elif op == _ATOMQ:
-            v = vals.pop()
-            vals.append("true" if type(v) is str else "false")
-        elif op == _DISPLAY:
-            emitted.append(_plain(vals[-1]))
-        elif op == _DROP:
-            vals.pop()
-        else:  # _BIND
-            v = vals.pop()
-            task[2][0][task[1]] = v
-            vals.append(task[1])
-
-    return _halted(_plain(vals.pop()), cursor - start, steps, tuple(emitted))
-
+                    vals[-1] = [store, len(store), deep, None]
+                else:
+                    vals[-1] = [[x], 1, deep, None]
+            elif op == _HEAD:
+                v = vals[-1]
+                if type(v) is list:
+                    vals[-1] = v[0][v[1] - 1]
+                elif type(v) is tuple:
+                    vals[-1] = v[0] if v else ()
+            elif op == _TAIL:
+                v = vals[-1]
+                if type(v) is list:
+                    n = v[1] - 1
+                    vals[-1] = [v[0], n, v[2], None] if n else ()
+                elif type(v) is tuple and len(v) > 1:
+                    store = list(v)
+                    store.reverse()
+                    vals[-1] = [store, len(v) - 1, False, None]
+                else:
+                    vals[-1] = ()
+            elif op == _ATOMQ:
+                vals[-1] = "true" if type(vals[-1]) is str else "false"
+            elif op == _DISPLAY:
+                emitted.append(_plain(vals[-1]))
+            elif op == _DROP:
+                vals.pop()
+            else:  # _BIND
+                task[2][0][task[1]] = vals[-1]
+                vals[-1] = task[1]
+        else:
+            return _halted(_plain(vals.pop()), cursor - start, steps, tuple(emitted))

@@ -19,7 +19,14 @@ from itertools import count
 from typing import Iterator
 
 from . import machine, sexpr
-from .evaluator import AbortOverrun, BitTape, Halted, MalformedProgram, OutOfTime
+from .evaluator import (
+    AbortOverrun,
+    BitTape,
+    Halted,
+    MalformedProgram,
+    OutOfTime,
+    _deep_equal,
+)
 from .machine import BinaryProgram, encode_program, run_program
 from .dovetail import parseable_texts_of_length
 from .sexpr import QUOTE_ATOM, SExpr
@@ -158,7 +165,18 @@ def run_theory(theory: BinaryProgram, budget: int) -> TheoryRun:
 
     Running out of time is the normal terminal state for a real generator;
     a theory that stops is flagged by its halting/abort terminal instead.
-    Statements are de-duplicated in order of first emission.
+    Statements are de-duplicated in order of first emission, and a repeat
+    keeps the first object emitted.  The dedupe takes two stages, so that a
+    long stream of large statements is not hashed whole:
+
+    1. Each statement is keyed by a small int, the hash of its bounded
+       shape: its length and its first few items, an item being the atom
+       itself or the length of a sub-list.
+    2. A statement is compared in full only with the earlier statements of
+       its key, by ``==`` or, for values too deep for that, by
+       ``_deep_equal``.  A key that gathers more than a few statements
+       turns into a hashed bucket, which hashes only its own statements
+       whole and compares those of equal hash.
     """
     result = run_program(theory, budget)
     out = result.outcome
@@ -172,9 +190,65 @@ def run_theory(theory: BinaryProgram, budget: int) -> TheoryRun:
     else:
         assert isinstance(out, MalformedProgram)
         emitted, consumed, terminal = (), 0, "malformed"
-    # One hash per statement; a repeat keeps the first object emitted.
-    theorems = tuple(dict.fromkeys(emitted))
+    theorems = _first_emissions(emitted)
     return TheoryRun(theory, len(theory.bits), theorems, budget, consumed, terminal)
+
+
+# How many items of a statement its shape key reads, and how many
+# statements a key holds in a list before its bucket is hashed.
+_SHAPE_ITEMS = 3
+_BUCKET_LIMIT = 8
+
+
+def _shape_key(statement: SExpr) -> int:
+    if type(statement) is str:
+        return hash(statement)
+    return hash((
+        len(statement),
+        *[item if type(item) is str else len(item) for item in statement[:_SHAPE_ITEMS]],
+    ))
+
+
+def _same(a: SExpr, b: SExpr) -> bool:
+    try:
+        return a == b
+    except RecursionError:
+        return _deep_equal(a, b)
+
+
+def _first_emissions(statements: tuple) -> tuple:
+    """The statements without repeats, in order of first emission, each
+    the first object emitted of its value.
+
+    A key's bucket is its one statement, a list of up to _BUCKET_LIMIT
+    statements, or a dict from a statement's whole hash to the list of
+    its statements of that hash.
+    """
+    kept = []
+    buckets: dict = {}
+    for statement in statements:
+        key = _shape_key(statement)
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = statement
+            kept.append(statement)
+            continue
+        if type(bucket) is dict:
+            members = bucket.setdefault(hash(statement), [])
+        elif type(bucket) is list:
+            members = bucket
+        else:
+            members = buckets[key] = [bucket]
+        if any(_same(statement, member) for member in members):
+            continue
+        members.append(statement)
+        kept.append(statement)
+        if type(bucket) is list and len(members) > _BUCKET_LIMIT:
+            hashed: dict = {}
+            for member in members:
+                hashed.setdefault(hash(member), []).append(member)
+            buckets[key] = hashed
+    return tuple(kept)
 
 
 @dataclass(frozen=True, slots=True)

@@ -298,3 +298,71 @@ def test_claims_are_subset_of_theorems():
         ):
             emitted_positions.add(len(theorem[1]))
     assert set(claims.claims) <= emitted_positions
+
+
+def theorems_of(monkeypatch, stream):
+    """run_theory's statements for a run that emitted stream."""
+    monkeypatch.setattr(
+        incompleteness,
+        "run_program",
+        lambda theory, budget: RunResult(OutOfTime(tuple(stream)), 0),
+    )
+    return run_theory(encode_text("(' a)"), 16).theorems
+
+
+def assert_first_emissions(theorems, stream):
+    """theorems are the stream's first emissions: the same values as
+    dict.fromkeys gives, in its order, and the same objects."""
+    want = tuple(dict.fromkeys(stream))
+    assert theorems == want
+    assert all(got is first for got, first in zip(theorems, want))
+
+
+def test_run_theory_keeps_distinct_statements_of_one_shape(monkeypatch):
+    # Every statement has length 3, head atom t, a two-item list and the
+    # atom z, so all share one shape key: the bucket holds a list at first
+    # and is hashed after it fills.  Each value comes again as a copy.
+    values = [("t", ("x", str(i)), "z") for i in range(40)]
+    stream = []
+    for i, value in enumerate(values):
+        stream.append(value)
+        stream.append(tuple(list(values[i // 2])))
+    assert_first_emissions(theorems_of(monkeypatch, stream), stream)
+
+
+def test_run_theory_keeps_atoms_and_the_empty_list(monkeypatch):
+    stream = ["a", (), "b", "a", (), ("a",), "()", ((),), (), "b"]
+    theorems = theorems_of(monkeypatch, stream)
+    assert theorems == ("a", (), "b", ("a",), "()", ((),))
+    assert_first_emissions(theorems, stream)
+
+
+def test_run_theory_compares_statements_too_deep_for_equality(monkeypatch):
+    def nest(depth):
+        value = "a"
+        for _ in range(depth):
+            value = (value,)
+        return value
+
+    deep, copy, other = nest(5000), nest(5000), nest(5001)
+    theorems = theorems_of(monkeypatch, [deep, copy, other, deep])
+    assert len(theorems) == 2
+    assert theorems[0] is deep and theorems[1] is other
+
+
+def test_run_theory_of_a_nested_generator_at_a_small_budget():
+    # Emits a, (a), ((a)), ...: one shape key for every statement after
+    # the first, so all but a few go through the hashed bucket.
+    program = encode_text("(define (go n) (go (join (display n) ()))) (go a)")
+    run = run_theory(program, 1 << 10)
+    emitted = run_program(program, 1 << 10).outcome.emitted
+    assert len(run.theorems) > 100
+    assert run.theorems == tuple(dict.fromkeys(emitted))
+
+
+def test_run_theory_of_the_benchmark_stream_matches_a_whole_hash_dedupe(monkeypatch):
+    # The stream of perfbench eval-deep's theory operation, at its budget.
+    emitted = run_program(encode_text(CLAIM_STREAM_TEXT), 1 << 16).outcome.emitted
+    theorems = theorems_of(monkeypatch, emitted)
+    assert len(theorems) == 4680
+    assert_first_emissions(theorems, emitted)

@@ -164,3 +164,128 @@ def test_agrees_on_run_remaining():
         for text in ("(run-remaining)", "(display (join (run-remaining) (read-bit)))"):
             for budget in (1, 3, 4096):
                 assert_agree(parse(text), tape, budget)
+
+
+def assert_agree_at_every_budget(program, tape):
+    """Agreement at every budget from 1 to one past the steps a run takes,
+    or up to 300 for a run that takes more, so that each step in turn is
+    the one that runs out of time."""
+    full = reference_evaluate(program, BitTape(tape), 300)
+    steps = getattr(full, "steps", 299)
+    for budget in range(1, steps + 2):
+        assert_agree(program, tape, budget)
+
+
+# Forms whose first subexpression is evaluated in place, with missing and
+# extra operands, the car/cdr/quote aliases, and applications of closures
+# with 0 and with 8 or more operands and of values that are no closure.
+EDGE_PROGRAMS = [
+    "(car (quote (a b)))",
+    "(cdr (quote (a b c)))",
+    "(join (car a) (join (cdr a) (join (car) (cdr))))",
+    "(join (quote) (join (quote a b) ()))",
+    "(if c)",
+    "(if)",
+    "(if false)",
+    "(if (' false) a)",
+    "(if c a b extra)",
+    "(join)",
+    "(join a)",
+    "(join a b c)",
+    "(join (=) (join (= a) (= a a b)))",
+    "(join (head) (join (tail) (join (atom?) (display))))",
+    "(join (head (' (a b)) c) (atom? a b))",
+    "(display (' (x y)) (' z))",
+    "((lambda () (' zero)))",
+    "((lambda))",
+    "((lambda x x) a)",
+    "((lambda (a b c d e f g) (join g (join a ()))) 1 2 3 4 5 6 7)",
+    "((lambda (a b c d e f g h) (join h (join a ()))) 1 2 3 4 5 6 7 8)",
+    "((lambda (a b c d e f g h i) (join i (join h (join a ())))) 1 2 3 4 5 6 7 8 9)",
+    "((lambda (a b c d e f g h i j) j) 1 2 3 4 5 6 7 8)",
+    "((lambda (a) a) 1 2 3 4 5 6 7 8 9 10)",
+    "(a b c)",
+    "(a 1 2 3 4 5 6 7 8 9)",
+    "((' x) y)",
+    "(() a)",
+    "((join a ()) b)",
+    "((if true (lambda (q) (join q q)) x) (' (r)))",
+    "((head (' (lambda (q) q))) z)",
+    "(define x (' (1 2))) (join x x)",
+    "(define x) (join x x)",
+    "(define) (define x (read-bit)) x",
+    "(define (1) x) (define x (display a)) (join x (1))",
+    "(define (f) (' nullary)) (define (g a b c d e f h i) i) (join (f) (g 1 2 3 4 5 6 7 8))",
+    "(define (f x) (if (= x ()) done (f (tail x)))) (define y (f (' (1 2 3)))) y",
+    "(define x (define y (' z))) (join x y)",
+    "(define (loop) (loop)) (loop)",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_PROGRAMS)
+def test_agrees_on_edge_forms_at_every_budget(text):
+    program = parse(text)
+    for tape in ("", "1", "01"):
+        assert_agree_at_every_budget(program, tape)
+
+
+def test_agrees_on_run_remaining_sequences_at_every_budget():
+    inner = encode_text(
+        "(define x (read-bit)) (define (f y) (join y x)) (f (run-remaining))"
+    ).bits
+    innermost = encode_text("(define z) (join z (read-bit))").bits
+    for tape in (inner + innermost + "1" + "0", inner + innermost, inner + "0"):
+        for text in (
+            "(run-remaining)",
+            "(define a (run-remaining)) (join a a)",
+            "(join (run-remaining) (read-bit))",
+        ):
+            assert_agree_at_every_budget(parse(text), tape)
+
+
+def random_edge_expr(rng, depth):
+    """Expressions over every form, with operand counts from none to more
+    than the form takes, and applications of 0 to 10 operands."""
+    if depth == 0:
+        return rng.choice(ATOM_POOL + ["p", "q", "f", ("read-bit",), ("'", "x"), ()])
+    form = rng.choice([
+        "'", "quote", "if", "=", "join", "head", "car", "tail", "cdr",
+        "atom?", "display", "lambda", "apply", "apply", "apply",
+    ])
+    if form == "lambda":
+        params = tuple(rng.sample(["p", "q", "r", "s"], rng.randrange(0, 4)))
+        return ("lambda", params, random_edge_expr(rng, depth - 1))
+    if form in ("'", "quote"):
+        return (form,) + tuple(random_sexpr(rng, 1) for _ in range(rng.randrange(0, 3)))
+    if form == "apply":
+        operator = rng.choice([
+            "f", "x", ("lambda", ("p", "q"), "q"),
+            ("lambda", tuple("abcdefghij"[: rng.randrange(0, 11)]), "i"),
+            random_edge_expr(rng, depth - 1),
+        ])
+        argc = rng.choice([0, 1, 2, 7, 8, 9, 10])
+        return (operator,) + tuple(random_edge_expr(rng, depth - 1) for _ in range(argc))
+    return (form,) + tuple(
+        random_edge_expr(rng, depth - 1) for _ in range(rng.randrange(0, 5))
+    )
+
+
+def random_edge_program(rng, depth):
+    defines = []
+    for _ in range(rng.randrange(0, 4)):
+        defines.append(rng.choice([
+            ("define", "x", random_edge_expr(rng, depth - 1)),
+            ("define", "x"),
+            ("define",),
+            ("define", ("1",), "x"),
+            ("define", ("f", "p", "q"), random_edge_expr(rng, depth - 1)),
+            ("define", ("f",), random_edge_expr(rng, depth - 1)),
+        ]))
+    return (*defines, random_edge_expr(rng, depth))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_agrees_on_fuzzed_edge_programs_at_every_budget(seed):
+    rng = random.Random(300 + seed)
+    for _ in range(150):
+        assert_agree_at_every_budget(random_edge_program(rng, 3), random_tape(rng))
