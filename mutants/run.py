@@ -266,17 +266,10 @@ MUTANTS = (
         ("tests/test_reference_evaluator.py", "-k", "edge"),
     ),
     Mutant(
-        "call-table-edge-arity",
-        "evaluator.py",
-        "work.append(_CALL_TASKS[argc] if argc < _CALL_TABLE else (_CALL, argc))",
-        "work.append(_CALL_TASKS[min(argc, _CALL_TABLE - 1)])",
-        ("tests/test_reference_evaluator.py", "-k", "edge"),
-    ),
-    Mutant(
         "dedupe-merges-equal-shapes",
         "incompleteness.py",
-        "        if any(_same(statement, member) for member in members):\n",
-        "        if members:\n",
+        "            bucket = buckets[key] = {hash(bucket): [bucket]}\n",
+        "            continue\n",
         ("tests/test_incompleteness.py", "-k", "run_theory"),
     ),
     Mutant(

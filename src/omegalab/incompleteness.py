@@ -174,9 +174,9 @@ def run_theory(theory: BinaryProgram, budget: int) -> TheoryRun:
        itself or the length of a sub-list.
     2. A statement is compared in full only with the earlier statements of
        its key, by ``==`` or, for values too deep for that, by
-       ``_deep_equal``.  A key that gathers more than a few statements
-       turns into a hashed bucket, which hashes only its own statements
-       whole and compares those of equal hash.
+       ``_deep_equal``.  On a key's first repeat its bucket is hashed:
+       only the statements of that key are hashed whole, and only those of
+       equal hash are compared.
     """
     result = run_program(theory, budget)
     out = result.outcome
@@ -194,10 +194,8 @@ def run_theory(theory: BinaryProgram, budget: int) -> TheoryRun:
     return TheoryRun(theory, len(theory.bits), theorems, budget, consumed, terminal)
 
 
-# How many items of a statement its shape key reads, and how many
-# statements a key holds in a list before its bucket is hashed.
+# How many items of a statement its shape key reads.
 _SHAPE_ITEMS = 3
-_BUCKET_LIMIT = 8
 
 
 def _shape_key(statement: SExpr) -> int:
@@ -220,9 +218,9 @@ def _first_emissions(statements: tuple) -> tuple:
     """The statements without repeats, in order of first emission, each
     the first object emitted of its value.
 
-    A key's bucket is its one statement, a list of up to _BUCKET_LIMIT
-    statements, or a dict from a statement's whole hash to the list of
-    its statements of that hash.
+    A key's bucket is its one statement until a second statement has the
+    key; from then on it is a dict from a statement's whole hash to the
+    list of its statements of that hash.
     """
     kept = []
     buckets: dict = {}
@@ -233,21 +231,13 @@ def _first_emissions(statements: tuple) -> tuple:
             buckets[key] = statement
             kept.append(statement)
             continue
-        if type(bucket) is dict:
-            members = bucket.setdefault(hash(statement), [])
-        elif type(bucket) is list:
-            members = bucket
-        else:
-            members = buckets[key] = [bucket]
+        if type(bucket) is not dict:
+            bucket = buckets[key] = {hash(bucket): [bucket]}
+        members = bucket.setdefault(hash(statement), [])
         if any(_same(statement, member) for member in members):
             continue
         members.append(statement)
         kept.append(statement)
-        if type(bucket) is list and len(members) > _BUCKET_LIMIT:
-            hashed: dict = {}
-            for member in members:
-                hashed.setdefault(hash(member), []).append(member)
-            buckets[key] = hashed
     return tuple(kept)
 
 

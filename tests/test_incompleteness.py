@@ -320,8 +320,9 @@ def assert_first_emissions(theorems, stream):
 
 def test_run_theory_keeps_distinct_statements_of_one_shape(monkeypatch):
     # Every statement has length 3, head atom t, a two-item list and the
-    # atom z, so all share one shape key: the bucket holds a list at first
-    # and is hashed after it fills.  Each value comes again as a copy.
+    # atom z, so all share one shape key: the bucket holds the first
+    # statement and is hashed on the second.  Each value comes again as a
+    # copy.
     values = [("t", ("x", str(i)), "z") for i in range(40)]
     stream = []
     for i, value in enumerate(values):
