@@ -330,6 +330,14 @@ MUTANTS = (
         "in position {exc.start}",
         ("tests/test_dovetail.py", "-k", "non_ascii_byte"),
     ),
+    Mutant(
+        "equal-no-deep-fallback",
+        "evaluator.py",
+        "    except RecursionError:\n        return _deep_equal(a, b)\n",
+        "    except RecursionError:\n        return False\n",
+        ("tests/test_evaluator.py", "tests/test_incompleteness.py",
+         "-k", "past_the_host_stack or too_deep"),
+    ),
 )
 
 

@@ -46,6 +46,7 @@ from .evaluator import (
     Halted,
     MalformedProgram,
     Outcome,
+    _EMPTY_TAPE,
     _checked_tape,
     head_bits,
     head_hex,
@@ -128,7 +129,7 @@ class Census:
     order, at the positions a per-record census gives them (after the
     records already held, a held record of an enrolled program rewritten in
     place), and drops the per-text state.
-    ``save_census``, ``omega_lower_bound``, ``status_counts``, ``tally``,
+    ``save_census``, ``omega_lower_bound``, ``tally``,
     ``decide_halting_via_omega`` and ``winner`` read the per-text state
     without materialising; only the last two spell head bits.
     ``load_census`` puts a file saved from per-text state back into it,
@@ -188,8 +189,6 @@ class Census:
         if type(other) is not Census:
             return NotImplemented
         return self._fields() == other._fields()
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return (
@@ -314,10 +313,6 @@ def enumerate_programs(max_bits: int) -> Iterator[BinaryProgram]:
 
 
 # --- the dovetail ---------------------------------------------------------
-
-
-# The tape of every run with no data; a tape is frozen, so one serves all.
-_EMPTY_TAPE = _checked_tape("")
 
 
 def _run_path(text: str, data: str, budget: int) -> Outcome:
@@ -606,19 +601,14 @@ def advance(
     return census
 
 
-def status_counts(census: Census) -> dict[str, int]:
-    """Number of records per status, the derived ones counted by read path."""
-    return tally(census)[0]
-
-
 def omega_lower_bound(census: Census) -> DyadicRational:
     """Exact sum of 2**-|p| over programs known to halt validly."""
     return tally(census)[1]
 
 
 def tally(census: Census) -> tuple[dict[str, int], DyadicRational]:
-    """``status_counts`` and ``omega_lower_bound`` from one pass over the
-    read paths."""
+    """The number of records per status, the derived ones counted by read
+    path, and ``omega_lower_bound``, from one pass over the read paths."""
     statuses, lengths = _derived_tally(census)
     for bits, record in census._records.items():
         statuses[record.status] += 1

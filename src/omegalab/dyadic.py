@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, order=True)
 class DyadicRational:
     """A nonnegative rational whose denominator is a power of two."""
 
@@ -52,19 +50,6 @@ class DyadicRational:
 
     def __sub__(self, other: "DyadicRational") -> "DyadicRational":
         return DyadicRational(self.fraction - other.fraction)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, DyadicRational):
-            return self.fraction == other.fraction
-        return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, DyadicRational):
-            return self.fraction < other.fraction
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.fraction)
 
     def truncate(self, n_bits: int) -> "DyadicRational":
         """Keep the first n_bits binary digits after the point (floor)."""

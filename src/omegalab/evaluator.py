@@ -87,6 +87,10 @@ def _checked_tape(bits: str) -> BitTape:
     return tape
 
 
+# The tape of every run with no data; a tape is frozen, so one serves all.
+_EMPTY_TAPE = _checked_tape("")
+
+
 @dataclass(frozen=True, slots=True)
 class Halted:
     value: SExpr
@@ -253,9 +257,6 @@ class Closure:
             return self.params == other.params and self.body == other.body
         return ("lambda", self.params, self.body) == other
 
-    def __hash__(self) -> int:
-        return hash(("lambda", self.params, self.body))
-
 
 # A run-time list built by join or tail: a view [store, n, deep, built].
 # The store is a Python list holding the view's n items last-first, so the
@@ -354,8 +355,11 @@ def _view_equal(a: Value, b: Value) -> bool:
         return False
     if type(a) is list and type(b) is list and a[0] is b[0]:
         return True
-    a = _plain(a)
-    b = _plain(b)
+    return _equal(_plain(a), _plain(b))
+
+
+def _equal(a: SExpr, b: SExpr) -> bool:
+    """``a == b``, by ``_deep_equal`` for values too deep for that."""
     try:
         return a == b
     except RecursionError:
@@ -604,6 +608,7 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
                 if type(a) is list or type(b) is list:
                     same = _view_equal(a, b)
                 else:
+                    # Inline, not _equal: a call per = is measurable here.
                     try:
                         same = a == b
                     except RecursionError:

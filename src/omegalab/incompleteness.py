@@ -21,11 +21,11 @@ from typing import Iterator
 from . import machine, sexpr
 from .evaluator import (
     AbortOverrun,
-    BitTape,
     Halted,
     MalformedProgram,
     OutOfTime,
-    _deep_equal,
+    _EMPTY_TAPE,
+    _equal,
 )
 from .machine import BinaryProgram, encode_program, run_program
 from .dovetail import parseable_texts_of_length
@@ -56,9 +56,6 @@ def _nth_digit_program(n: int) -> SExpr:
 def unary(m: int) -> tuple:
     """m as a list of m ones."""
     return ("1",) * m
-
-
-_EMPTY_TAPE = BitTape()
 
 
 def digit_output_of(expr: SExpr, m: int, budget: int) -> int | None:
@@ -173,8 +170,7 @@ def run_theory(theory: BinaryProgram, budget: int) -> TheoryRun:
        shape: its length and its first few items, an item being the atom
        itself or the length of a sub-list.
     2. A statement is compared in full only with the earlier statements of
-       its key, by ``==`` or, for values too deep for that, by
-       ``_deep_equal``.  On a key's first repeat its bucket is hashed:
+       its key, by ``_equal``.  On a key's first repeat its bucket is hashed:
        only the statements of that key are hashed whole, and only those of
        equal hash are compared.
     """
@@ -207,13 +203,6 @@ def _shape_key(statement: SExpr) -> int:
     ))
 
 
-def _same(a: SExpr, b: SExpr) -> bool:
-    try:
-        return a == b
-    except RecursionError:
-        return _deep_equal(a, b)
-
-
 def _first_emissions(statements: tuple) -> tuple:
     """The statements without repeats, in order of first emission, each
     the first object emitted of its value.
@@ -234,7 +223,7 @@ def _first_emissions(statements: tuple) -> tuple:
         if type(bucket) is not dict:
             bucket = buckets[key] = {hash(bucket): [bucket]}
         members = bucket.setdefault(hash(statement), [])
-        if any(_same(statement, member) for member in members):
+        if any(_equal(statement, member) for member in members):
             continue
         members.append(statement)
         kept.append(statement)

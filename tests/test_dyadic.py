@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from omegalab.dyadic import DyadicRational
@@ -45,6 +45,30 @@ def test_comparisons():
     assert a <= a
     assert a == DyadicRational(Fraction(2, 16))
     assert a != b
+
+
+# Unreduced constructions: numerator n over 2**k, reduced by Fraction.
+dyadics = st.builds(
+    lambda n, k: (Fraction(n, 2**k), DyadicRational(Fraction(n, 2**k))),
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=0, max_value=8),
+)
+
+
+@given(dyadics, dyadics)
+@example(
+    (Fraction(2, 16), DyadicRational(Fraction(2, 16))),
+    (Fraction(1, 8), DyadicRational.half_power(3)),
+)
+def test_comparisons_and_hash_follow_the_fractions(x, y):
+    (f, a), (g, b) = x, y
+    assert (a == b, a != b, a < b, a <= b, a > b, a >= b) == (
+        f == g, f != g, f < g, f <= g, f > g, f >= g)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert a != f and not a == f
+    with pytest.raises(TypeError):
+        a < f
 
 
 def test_truncate_keeps_leading_bits():
