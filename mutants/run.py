@@ -138,6 +138,13 @@ MUTANTS = (
         ("tests/test_dovetail.py", "-k", "heads_that_read_match"),
     ),
     Mutant(
+        "grow-keeps-unknown-paths",
+        "dovetail.py",
+        "{p: f for p, f in paths.items() if f[0] != STATUS_UNKNOWN}",
+        "dict(paths)",
+        ("tests/test_dovetail.py", "-k", "enrolled_heads_that_read"),
+    ),
+    Mutant(
         "loaded-abort-kept-in-columns",
         "dovetail.py",
         "                    if bits_read is None:\n"

@@ -88,10 +88,6 @@ class CorruptFile(Exception):
 class StageCapExceeded(Exception):
     """The bound never reached the requested prefix within the stage cap."""
 
-    def __init__(self, cap: int):
-        super().__init__(f"omega bound did not reach the target by stage {cap}")
-        self.cap = cap
-
 
 @dataclass(slots=True)
 class Record:
@@ -343,10 +339,10 @@ def _first_run(text: str, budget: int) -> PathFields:
 
 
 def _decide_head(
-    group: tuple[str, dict[str, PathFields], int, int],
+    text: str, known: dict[str, PathFields], data_bits: int, budget: int
 ) -> dict[str, PathFields]:
-    """Worker: grow one enrolled text's tree of read paths; returns every
-    path's fields, keyed by the data bits it ran on.
+    """Grow one enrolled text's tree of read paths; returns every path's
+    fields, keyed by the data bits it ran on.
 
     A run on ``data[:j]`` that halts, runs out of time or is malformed read
     at most j data bits, so its outcome decides every extension of the path.
@@ -356,7 +352,6 @@ def _decide_head(
     halt or abort at step k is the same at any larger one, so only the
     other paths run.
     """
-    text, known, data_bits, budget = group
     paths = dict(known)
     todo = [""]
     while todo:
@@ -540,12 +535,12 @@ def advance(
     whose run with no data aborted runs its paths still unknown and the
     extensions of its aborts.
 
-    The runs may be spread over a pool of ``jobs`` processes, which return
-    the fields of runs with no data in batches, then one text's paths at a
-    time; the result is byte-identical either way because each path's
-    fields depend only on its own bits and the budget.  The pool's modules
-    are imported only here, the first time a process opens a pool, so a
-    process that runs at ``jobs=1`` never loads them.
+    The runs with no data may be spread over a pool of ``jobs`` processes,
+    which return their fields in batches; the read paths grow here, one
+    text at a time.  The result is byte-identical either way because each
+    run's fields depend only on its own text and the budget.  The pool's
+    modules are imported only here, the first time a process opens a pool,
+    so a process that runs at ``jobs=1`` never loads them.
     """
     _check_version(census.version, census.config_digest)
     if stages < 1:
@@ -584,17 +579,12 @@ def advance(
             status[i], steps[i], values[i], read = fields
             if read is None:
                 census._paths[texts[i]] = {"": fields}
-        work = [
-            (text, {p: f for p, f in paths.items() if f[0] != STATUS_UNKNOWN},
-             last - head_bits(len(text)), budget)
-            for text, paths in census._paths.items()
-        ]
-        if pool is None:
-            results = map(_decide_head, work)
-        else:
-            chunk = max(1, len(work) // (jobs * 8))
-            results = pool.map(_decide_head, work, chunksize=chunk)
-        census._paths = dict(zip(census._paths, results))
+    census._paths = {
+        text: _decide_head(
+            text, {p: f for p, f in paths.items() if f[0] != STATUS_UNKNOWN},
+            last - head_bits(len(text)), budget)
+        for text, paths in census._paths.items()
+    }
     census.stage = t
     if rewritten:
         _materialise(census)  # rewrites those records in place
@@ -665,7 +655,8 @@ def decide_halting_via_omega(
         bound = omega_lower_bound(census)
     while bound < omega_prefix:
         if census.stage >= stage_cap:
-            raise StageCapExceeded(stage_cap)
+            raise StageCapExceeded(
+                f"omega bound did not reach the target by stage {stage_cap}")
         advance(census, 1)
         bound = omega_lower_bound(census)
     halting, rest = [], []

@@ -49,7 +49,7 @@ character of program text, the separator byte 0x00, then raw data bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Optional, Union
+from typing import Collection, Optional, Union
 
 from .sexpr import (
     QUOTE_ATOM,
@@ -60,30 +60,25 @@ from .sexpr import (
 
 @dataclass(frozen=True, slots=True)
 class BitTape:
-    """An immutable 0/1 string plus the index of the next unread bit."""
+    """An immutable 0/1 string, read from its first bit."""
 
     bits: str = ""
-    cursor: int = 0
 
     def __post_init__(self):
         if self.bits.strip("01"):
             raise ValueError("tape bits must be a string over 0/1")
-        if not 0 <= self.cursor <= len(self.bits):
-            raise ValueError("tape cursor out of range")
 
 
 # Slot setters that build a frozen value without its constructor.
 _new = object.__new__
 _set_tape_bits = BitTape.bits.__set__
-_set_tape_cursor = BitTape.cursor.__set__
 
 
 def _checked_tape(bits: str) -> BitTape:
-    """A tape at cursor 0 over bits already known to be a 0/1 string,
-    built without the constructor's checks."""
+    """A tape over bits already known to be a 0/1 string, built without
+    the constructor's check."""
     tape = _new(BitTape)
     _set_tape_bits(tape, bits)
-    _set_tape_cursor(tape, 0)
     return tape
 
 
@@ -270,13 +265,10 @@ class Closure:
 Value = Union[str, tuple, Closure, list]
 
 
-def is_define_form(expr: SExpr) -> bool:
-    return type(expr) is tuple and len(expr) > 0 and expr[0] == "define"
-
-
 def _defines_then_body(program: tuple) -> bool:
     """Whether every top-level form but the last is a define form."""
-    return all(map(is_define_form, program[:-1]))
+    return all(type(form) is tuple and form and form[0] == "define"
+               for form in program[:-1])
 
 
 def _plain(value: Value) -> SExpr:
@@ -455,7 +447,7 @@ def _global_env(env: Env) -> Env:
     return env
 
 
-def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
+def evaluate(program: tuple[SExpr, ...], tape: BitTape, budget: int) -> Outcome:
     """Run a program against a tape under a step budget.
 
     Deterministic in (program, tape contents, budget).  The result is one of
@@ -463,14 +455,13 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    program = tuple(program)
     if not program:
         return MalformedProgram(EMPTY_PROGRAM)
     if len(program) > 1 and not _defines_then_body(program):
         return MalformedProgram(NON_DEFINE_FORM)
 
     bits = tape.bits
-    cursor = start = tape.cursor
+    cursor = 0
     nbits = len(bits)
     steps = 0
     emitted: list = []
@@ -661,4 +652,4 @@ def evaluate(program: Iterable[SExpr], tape: BitTape, budget: int) -> Outcome:
                 task[2][0][task[1]] = vals[-1]
                 vals[-1] = task[1]
         else:
-            return _halted(_plain(vals.pop()), cursor - start, steps, tuple(emitted))
+            return _halted(_plain(vals.pop()), cursor, steps, tuple(emitted))

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import Iterator
 
 from . import machine, sexpr
@@ -47,10 +47,7 @@ def digit_programs() -> Iterator[SExpr]:
 def _nth_digit_program(n: int) -> SExpr:
     if n < 1:
         raise ValueError("digit program indices start at 1")
-    for i, expr in enumerate(digit_programs(), start=1):
-        if i == n:
-            return expr
-    raise AssertionError("unreachable")
+    return next(islice(digit_programs(), n - 1, None))
 
 
 def unary(m: int) -> tuple:

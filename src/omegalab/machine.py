@@ -73,16 +73,9 @@ class BinaryProgram:
         if self.bits.strip("01"):
             raise ValueError("program bits must be a string over 0/1")
 
-    def __len__(self) -> int:
-        return len(self.bits)
-
     @property
     def hex(self) -> str:
         return bits_to_hex(self.bits)
-
-    @classmethod
-    def from_hex(cls, hex_text: str, bit_length: int) -> "BinaryProgram":
-        return cls(hex_to_bits(hex_text, bit_length))
 
 
 _new = object.__new__
@@ -165,7 +158,7 @@ def run_program(program: BinaryProgram, budget: int = DEFAULT_BUDGET) -> RunResu
     the format is read by ``scan_program``, as ``decode_program`` reads it."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    bits = program.bits if type(program) is BinaryProgram else program
+    bits = program.bits
     scanned = scan_program(bits, 0)
     # The result is built through its slot setters, as its outcome is.
     result = _new(RunResult)
@@ -195,7 +188,7 @@ def load_program(path) -> BinaryProgram:
             raise ValueError(f"{path}: missing 'bits: N' header")
         bit_length = int(header.split(":", 1)[1])
         hex_text = fh.read().strip()
-    return BinaryProgram.from_hex(hex_text, bit_length)
+    return BinaryProgram(hex_to_bits(hex_text, bit_length))
 
 
 def prefix_free_violation(

@@ -12,8 +12,6 @@ oracle, so it stays as it was, not fast.
 """
 
 import re
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 
 from omegalab import sexpr
 from omegalab.dovetail import (
@@ -37,7 +35,7 @@ from omegalab.machine import _checked_program, hex_to_bits, run_program
 def _decide_head(
     group: tuple[str, tuple[str, ...], int],
 ) -> list[tuple[str, int, str | None]]:
-    """Worker: decide every record that shares one head, one read path at a
+    """Decide every record that shares one head, one read path at a
     time; returns (status, steps, value text) per record's bits, in order.
 
     A run on ``bits[:len(head) + j]`` that halts, runs out of time or is
@@ -82,19 +80,10 @@ def _decide_head(
     return decided
 
 
-def advance(
-    census: Census,
-    stages: int,
-    jobs: int = 1,
-) -> Census:
+def advance(census: Census, stages: int) -> Census:
     """Bring the census to stage ``census.stage + stages`` in place, in one
     pass: the records still unknown and every program newly inside the size
-    cap run once, at that stage's budget.
-
-    The heads may be spread over a pool of ``jobs`` processes; the result is
-    byte-identical either way because each record's fields depend only on
-    its own bits and the budget.
-    """
+    cap run once, at that stage's budget."""
     _check_version(census.version, census.config_digest)
     if stages < 1:
         return census
@@ -111,15 +100,9 @@ def advance(
         record = census.records[bits] = Record(bits)
         pending.setdefault(head, []).append(record)
     work = [(head, tuple(r.bits for r in group), 2**t) for head, group in pending.items()]
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        if pool is None:
-            results = map(_decide_head, work)
-        else:
-            chunk = max(1, len(work) // (jobs * 8))
-            results = pool.map(_decide_head, work, chunksize=chunk)
-        for group, decided in zip(pending.values(), results):
-            for record, fields in zip(group, decided):
-                record.status, record.steps, record.value_text = fields
+    for group, decided in zip(pending.values(), map(_decide_head, work)):
+        for record, fields in zip(group, decided):
+            record.status, record.steps, record.value_text = fields
     census.stage = t
     return census
 

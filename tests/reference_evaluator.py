@@ -54,9 +54,9 @@ def _root(env):
 
 
 class _Run:
-    def __init__(self, bits, cursor, budget):
+    def __init__(self, bits, budget):
         self.bits = bits
-        self.cursor = cursor
+        self.cursor = 0
         self.budget = budget
         self.steps = 0
         self.emitted = []
@@ -176,11 +176,11 @@ def reference_evaluate(program, tape, budget):
         return MalformedProgram(EMPTY_PROGRAM)
     if not all(_is_define(f) for f in program[:-1]):
         return MalformedProgram(NON_DEFINE_FORM)
-    run = _Run(tape.bits, tape.cursor, budget)
+    run = _Run(tape.bits, budget)
     try:
         value = run.sequence(program, ({}, None))
     except _OutOfTime:
         return OutOfTime(tuple(run.emitted))
     except _Overrun:
         return AbortOverrun(run.steps, tuple(run.emitted))
-    return Halted(render(value), run.cursor - tape.cursor, run.steps, tuple(run.emitted))
+    return Halted(render(value), run.cursor, run.steps, tuple(run.emitted))

@@ -800,7 +800,7 @@ def _both(census, plan, jobs=1, reference=None):
             reference.stage += stages[1]
         else:
             advance(census, stages, jobs=jobs)
-            reference_dovetail.advance(reference, stages, jobs=jobs)
+            reference_dovetail.advance(reference, stages)
     return census, reference
 
 
@@ -938,6 +938,36 @@ def test_enrolled_heads_that_read_match_per_record_reference(
     assert {r.status for r in reference.records.values()} == {
         STATUS_HALTED_VALID, STATUS_HALTED_INVALID, STATUS_ABORTED, STATUS_UNKNOWN
     }
+    _assert_matches_reference(census, reference, tmp_path)
+
+
+def test_pool_runs_only_the_runs_with_no_data(reading_pool, monkeypatch, tmp_path):
+    """The pool maps the runs with no data; the read paths of the texts
+    that read grow in the calling process."""
+    import concurrent.futures
+
+    mapped = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            mapped.append(fn.__name__)
+            return map(fn, *iterables)
+
+    # advance imports the pool class from its package when it opens a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    census = advance(new_census(reading_pool + 6), 9, jobs=2)
+    assert mapped == ["_first_run"]
+    assert census == advance(new_census(reading_pool + 6), 9, jobs=1)
+    reference = reference_dovetail.advance(new_census(reading_pool + 6), 9)
     _assert_matches_reference(census, reference, tmp_path)
 
 

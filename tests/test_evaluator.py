@@ -62,12 +62,6 @@ def test_read_bit_consumes_in_order():
     assert out.bits_consumed == 2
 
 
-def test_tape_cursor_offsets_respected():
-    out = evaluate(parse("(read-bit)"), BitTape("01", cursor=1), 16)
-    assert isinstance(out, Halted)
-    assert out.value == "1"
-
-
 def test_head_tail_aliases_and_totality():
     assert halted_value("(head (' (a b)))") == "a"
     assert halted_value("(car (' (a b)))") == "a"
