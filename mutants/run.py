@@ -345,6 +345,20 @@ MUTANTS = (
         ("tests/test_evaluator.py", "tests/test_incompleteness.py",
          "-k", "past_the_host_stack or too_deep"),
     ),
+    Mutant(
+        "missing-input-uncaught",
+        "cli.py",
+        "    MissingInput,\n",
+        "",
+        ("tests/test_cli.py", "-k", "missing_input"),
+    ),
+    Mutant(
+        "diagonal-row-position",
+        "incompleteness.py",
+        "produced = _digit_output(expr, text, n, budget)",
+        "produced = _digit_output(expr, text, n + 1, budget)",
+        ("tests/test_incompleteness.py", "-k", "row_n_at_position_n"),
+    ),
 )
 
 

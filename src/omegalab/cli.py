@@ -3,7 +3,7 @@
 One subcommand per library operation, reproducible output: text mode leads
 with a ``# machine:`` tag line, JSON mode is stable-keyed so identical
 inputs give byte-identical output.  Exit codes: 0 success, 1 domain error
-(malformed programs, bad files), 2 usage error.
+(malformed programs, bad files, a missing input), 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from itertools import islice
 
 from . import complexity, dovetail, incompleteness, machine, sexpr
 from .evaluator import (
@@ -26,12 +27,8 @@ from .evaluator import (
 CENSUS_DIR_ENV = "OMEGALAB_CENSUS_DIR"
 
 
-class _DomainError(Exception):
-    """Wraps a domain failure for exit-code-1 reporting."""
-
-    def __init__(self, variant: str, detail: str = ""):
-        super().__init__(f"{variant}{': ' + detail if detail else ''}")
-        self.variant = variant
+class MissingInput(Exception):
+    """A command was given none of the options that name its input."""
 
 
 def _census_path(path: str) -> str:
@@ -42,14 +39,12 @@ def _census_path(path: str) -> str:
 
 
 def _emit(report: dict, fmt: str) -> None:
-    report["machine"] = machine.MACHINE_VERSION
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, separators=(", ", ": ")))
+        tagged = {**report, "machine": machine.MACHINE_VERSION}
+        print(json.dumps(tagged, sort_keys=True, separators=(", ", ": ")))
         return
     print(f"# machine: {machine.MACHINE_VERSION}")
     for key, value in report.items():
-        if key == "machine":
-            continue
         if isinstance(value, list):
             print(f"{key}:")
             for item in value:
@@ -77,17 +72,17 @@ def _outcome_fields(outcome) -> dict:
     return {"outcome": "malformed-program", "reason": outcome.reason}
 
 
-def _read_text(flag_value: str | None, file_value: str | None, what: str) -> str:
-    if flag_value is not None:
-        return flag_value
-    if file_value is not None:
-        with open(file_value, "r", encoding="ascii") as fh:
+def _read_text(expr: str | None, path: str | None) -> str:
+    if expr is not None:
+        return expr
+    if path is not None:
+        with open(path, "r", encoding="ascii") as fh:
             return fh.read()
-    raise _DomainError("MissingInput", f"provide --{what} or --{what}-file")
+    raise MissingInput("provide --expr or --file")
 
 
 def _cmd_parse(ns) -> int:
-    text = _read_text(ns.expr, ns.file, "expr")
+    text = _read_text(ns.expr, ns.file)
     exprs = sexpr.parse(text)
     _emit({"expressions": [sexpr.print_canonical(e) for e in exprs]}, ns.format)
     return 0
@@ -98,7 +93,7 @@ def _cmd_eval(ns) -> int:
     if ns.prelude:
         with open(ns.prelude, "r", encoding="ascii") as fh:
             text = fh.read() + "\n"
-    text += _read_text(ns.expr, ns.file, "expr")
+    text += _read_text(ns.expr, ns.file)
     program = sexpr.parse(text)
     tape_bits = ns.tape or ""
     if ns.tape_file:
@@ -115,7 +110,7 @@ def _cmd_eval(ns) -> int:
 
 
 def _cmd_encode(ns) -> int:
-    text = _read_text(ns.expr, ns.file, "expr")
+    text = _read_text(ns.expr, ns.file)
     program = machine.encode_text(text, ns.data)
     if ns.out:
         machine.save_program(ns.out, program)
@@ -132,11 +127,11 @@ def _cmd_encode(ns) -> int:
 
 
 def _load_program_arg(ns) -> machine.BinaryProgram:
-    if ns.program:
+    if ns.program is not None:
         return machine.load_program(ns.program)
-    if ns.bits:
+    if ns.bits is not None:
         return machine.BinaryProgram(ns.bits)
-    raise _DomainError("MissingInput", "provide --program FILE or --bits 0101...")
+    raise MissingInput("provide --program FILE or --bits 0101...")
 
 
 def _cmd_run(ns) -> int:
@@ -152,11 +147,10 @@ def _cmd_run(ns) -> int:
 
 
 def _cmd_enumerate(ns) -> int:
-    programs = []
-    for i, p in enumerate(dovetail.enumerate_programs(ns.max_bits)):
-        if ns.limit is not None and i >= ns.limit:
-            break
-        programs.append(f"{p.hex} {len(p.bits)}")
+    programs = [
+        f"{p.hex} {len(p.bits)}"
+        for p in islice(dovetail.enumerate_programs(ns.max_bits), ns.limit)
+    ]
     _emit({"count": len(programs), "programs": programs}, ns.format)
     return 0
 
@@ -387,13 +381,12 @@ _COMMANDS = {
     "theory": _cmd_theory,
 }
 
+# ValueError covers the reader's errors (sexpr.SExprError) and
+# complexity.NotABitString and complexity.InvalidWitness.
 _DOMAIN_EXCEPTIONS = (
-    sexpr.SExprError,
     dovetail.VersionMismatch,
     dovetail.CorruptFile,
-    complexity.NotABitString,
-    complexity.InvalidWitness,
-    _DomainError,
+    MissingInput,
     OSError,
     ValueError,
 )
@@ -411,8 +404,7 @@ def main(argv: list[str] | None = None) -> int:
             pass
         return 1
     except _DOMAIN_EXCEPTIONS as exc:
-        variant = exc.variant if isinstance(exc, _DomainError) else type(exc).__name__
-        print(f"error {variant}: {exc}", file=sys.stderr)
+        print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

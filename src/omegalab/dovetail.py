@@ -897,7 +897,7 @@ def _header(path, head: str) -> tuple[Census, int]:
         max_bits = _decimal(header["max-bits"])
         stage = _decimal(header["stage"])
         count = _decimal(header["records"])
-    except (KeyError, ValueError, IndexError) as exc:
+    except (KeyError, ValueError) as exc:
         raise CorruptFile(f"{path}: bad header: {exc}") from None
     if max_bits < MIN_PROGRAM_BITS or stage < 0:
         raise CorruptFile(f"{path}: bad header: max-bits {max_bits}, stage {stage}")

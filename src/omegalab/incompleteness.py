@@ -44,12 +44,6 @@ def digit_programs() -> Iterator[SExpr]:
                 yield exprs[0]
 
 
-def _nth_digit_program(n: int) -> SExpr:
-    if n < 1:
-        raise ValueError("digit program indices start at 1")
-    return next(islice(digit_programs(), n - 1, None))
-
-
 def unary(m: int) -> tuple:
     """m as a list of m ones."""
     return ("1",) * m
@@ -64,13 +58,12 @@ def digit_output_of(expr: SExpr, m: int, budget: int) -> int | None:
     program ((expr (' unary(m)))) with no data bits, and an expression
     with no canonical text raises as encoding it would.
     """
+    return _digit_output(expr, sexpr.print_canonical(expr), m, budget)
+
+
+def _digit_output(expr: SExpr, expr_text: str, m: int, budget: int) -> int | None:
+    """digit_output_of, given the canonical text of expr."""
     program = ((expr, (QUOTE_ATOM, unary(m))),)
-    return _digit_output(program, sexpr.print_canonical(expr), budget)
-
-
-def _digit_output(program: tuple, expr_text: str, budget: int) -> int | None:
-    """digit_output_of for the program ((expr (' unary(m)))), given the
-    canonical text of expr."""
     if " '" in expr_text:
         # A quote atom after the head of a list prints as a quote mark,
         # which reads back as quote sugar: the machine decodes another
@@ -94,7 +87,9 @@ def _digit_output(program: tuple, expr_text: str, budget: int) -> int | None:
 
 def digit_program_output(n: int, m: int, budget: int) -> int | None:
     """Digit at position m from the n-th enumerated digit program."""
-    return digit_output_of(_nth_digit_program(n), m, budget)
+    if n < 1:
+        raise ValueError("digit program indices start at 1")
+    return digit_output_of(next(islice(digit_programs(), n - 1, None)), m, budget)
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,11 +120,9 @@ def diagonal_table(n_rows: int, budget: int) -> DiagonalTable:
     if n_rows < 1:
         raise ValueError("need at least one row")
     rows = []
-    gen = digit_programs()
-    for n in range(1, n_rows + 1):
-        expr = next(gen)
+    for n, expr in enumerate(islice(digit_programs(), n_rows), 1):
         text = sexpr.print_canonical(expr)
-        produced = _digit_output(((expr, (QUOTE_ATOM, unary(n))),), text, budget)
+        produced = _digit_output(expr, text, n, budget)
         rows.append(DiagonalRow(n, text, produced, 2 if produced == 3 else 3))
     return DiagonalTable(budget, tuple(rows))
 

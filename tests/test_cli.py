@@ -70,9 +70,9 @@ def test_parse_canonicalizes(capsys):
 
 
 def test_parse_reports_reader_errors(capsys):
-    code, _, err = run_cli(capsys, "parse", "--expr", "(a")
-    assert code == 1
-    assert "UnbalancedParens" in err
+    code, out, err = run_cli(capsys, "parse", "--expr", "(a")
+    assert (code, out) == (1, "")
+    assert err.startswith("error UnbalancedParens: ")
 
 
 def test_encode_run_round_trip(capsys, tmp_path):
@@ -497,9 +497,48 @@ def test_usage_error_exits_two(capsys, tmp_path):
 
 
 def test_missing_input_is_domain_error(capsys):
-    code, _, err = run_cli(capsys, "eval")
-    assert code == 1
-    assert "MissingInput" in err
+    for argv, err_line in (
+        (["parse"], "error MissingInput: provide --expr or --file\n"),
+        (["eval"], "error MissingInput: provide --expr or --file\n"),
+        (["encode"], "error MissingInput: provide --expr or --file\n"),
+        (["run"], "error MissingInput: provide --program FILE or --bits 0101...\n"),
+    ):
+        assert run_cli(capsys, *argv) == (1, "", err_line)
+    # An empty bit string is given: it is a program, and no separator.
+    code, out, err = run_cli(capsys, "run", "--bits", "")
+    assert (code, err) == (1, "")
+    assert "outcome: malformed-program\n" in out
+    assert "reason: NoSeparator\n" in out
+
+
+def _omega_of_another_machine(tmp_path):
+    path = tmp_path / "c.census"
+    dovetail.save_census(dovetail.new_census(17), path)
+    path.write_text(path.read_text().replace(MACHINE_VERSION, "other-machine"))
+    return ["omega", "--census", str(path)]
+
+
+def _complexity_given_no_halt(tmp_path):
+    subject, witness = tmp_path / "x.sexpr", tmp_path / "w.prog"
+    subject.write_text("a\n")
+    save_program(witness, encode_text("(read-bit)"))
+    return ["complexity", "--of", str(subject), "--given", str(witness)]
+
+
+# The classes of domain error the commands meet, except the reader's and
+# CorruptFile, which the tests above and below check; main lists only
+# ValueError for the subclasses of it, and each still prints its own name.
+@pytest.mark.parametrize("name, argv", [
+    ("ValueError", lambda tmp: ["eval", "--expr", "a", "--tape", "2"]),
+    ("FileNotFoundError",
+     lambda tmp: ["omega", "--census", str(tmp / "missing.census")]),
+    ("VersionMismatch", _omega_of_another_machine),
+    ("InvalidWitness", _complexity_given_no_halt),
+])
+def test_domain_error_names_its_class(capsys, tmp_path, name, argv):
+    code, out, err = run_cli(capsys, *argv(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error {name}: ")
 
 
 # The parent of the per-head census printed this for the 24/10 census.

@@ -181,6 +181,21 @@ def test_diagonal_requires_a_row():
         diagonal_table(0, budget=16)
 
 
+def test_diagonal_runs_row_n_at_position_n(monkeypatch):
+    # The first enumerated programs ignore their argument; this one gives 3
+    # at position 2 only, so a row run at another position shows.
+    text = "(lambda (l) (if (= l (' (1 1))) 3 7))"
+    monkeypatch.setattr(incompleteness, "digit_programs",
+                        lambda: (parse_one(text) for _ in itertools.count()))
+    table = diagonal_table(5, 4096)
+    assert [row.produced for row in table.rows] == [7, 3, 7, 7, 7]
+    assert table.digits == (3, 2, 3, 3, 3)
+    for n, row in enumerate(table.rows, 1):
+        assert row.index == n
+        assert row.program_text == print_canonical(parse_one(text))
+        assert row.produced == digit_output_of(parse_one(text), n, 4096)
+
+
 def test_run_theory_unary_stream_grows_with_budget():
     program = encode_text(UNARY_STREAM_TEXT)
     lengths = []
