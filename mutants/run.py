@@ -275,7 +275,7 @@ MUTANTS = (
     Mutant(
         "dedupe-merges-equal-shapes",
         "incompleteness.py",
-        "            bucket = buckets[key] = {hash(bucket): [bucket]}\n",
+        "            bucket = buckets[key] = {_fingerprint(bucket, memo): [bucket]}\n",
         "            continue\n",
         ("tests/test_incompleteness.py", "-k", "run_theory"),
     ),
@@ -358,6 +358,51 @@ MUTANTS = (
         "produced = _digit_output(expr, text, n, budget)",
         "produced = _digit_output(expr, text, n + 1, budget)",
         ("tests/test_incompleteness.py", "-k", "row_n_at_position_n"),
+    ),
+    Mutant(
+        "fingerprint-by-identity",
+        "incompleteness.py",
+        "        memo[id(node)] = hash(tuple([\n"
+        "            hash(item) if type(item) is str else memo[id(item)] for item in node\n"
+        "        ]))\n",
+        "        memo[id(node)] = id(node)\n",
+        ("tests/test_incompleteness.py", "-k", "run_theory"),
+    ),
+    Mutant(
+        "fingerprint-ignores-order",
+        "incompleteness.py",
+        "memo[id(node)] = hash(tuple([",
+        "memo[id(node)] = hash(frozenset([",
+        ("tests/test_incompleteness.py", "-k", "fingerprint"),
+    ),
+    Mutant(
+        "dedupe-skips-equal-check",
+        "incompleteness.py",
+        "        if any(_equal(statement, member) for member in members):\n",
+        "        if members:\n",
+        ("tests/test_incompleteness.py", "-k", "fingerprint"),
+    ),
+    Mutant(
+        "theory-abort-as-halt",
+        "incompleteness.py",
+        'emitted, consumed, terminal = out.emitted, out.steps, "aborted"',
+        'emitted, consumed, terminal = out.emitted, out.steps, "halted-invalid"',
+        ("tests/test_incompleteness.py", "-k", "cannot_go_on"),
+    ),
+    Mutant(
+        "estimate-skips-witness-check",
+        "complexity.py",
+        "    if not admitted:\n",
+        "    if False:\n",
+        ("tests/test_complexity.py", "-k", "no_witness"),
+    ),
+    Mutant(
+        "run-remaining-skips-define-check",
+        "evaluator.py",
+        "                if not _defines_then_body(inner):\n"
+        "                    return _aborted(steps, tuple(emitted))\n",
+        "",
+        ("tests/test_evaluator.py", "-k", "run_remaining"),
     ),
 )
 

@@ -69,7 +69,6 @@ from .incompleteness import (
     DiagonalTable,
     OmegaBitClaims,
     TheoryRun,
-    diagonal_digits,
     diagonal_table,
     digit_program_output,
     omega_bit_claims,

@@ -110,8 +110,8 @@ def _cmd_eval(ns) -> int:
 
 
 def _cmd_encode(ns) -> int:
-    text = _read_text(ns.expr, ns.file)
-    program = machine.encode_text(text, ns.data)
+    exprs = sexpr.parse(_read_text(ns.expr, ns.file))
+    program = machine.encode_program(exprs, ns.data)
     if ns.out:
         machine.save_program(ns.out, program)
     _emit(
@@ -119,7 +119,7 @@ def _cmd_encode(ns) -> int:
             "bits": len(program.bits),
             "hex": program.hex,
             "binary": program.bits,
-            "text": sexpr.print_program(sexpr.parse(text)),
+            "text": sexpr.print_program(exprs),
         },
         ns.format,
     )

@@ -102,10 +102,6 @@ class Record:
     steps: int = 0
     value_text: str | None = None
 
-    @property
-    def decided(self) -> bool:
-        return self.status != STATUS_UNKNOWN
-
 
 class Census:
     """Persistent map from enumerated programs to their run records.
@@ -311,13 +307,14 @@ def enumerate_programs(max_bits: int) -> Iterator[BinaryProgram]:
 # --- the dovetail ---------------------------------------------------------
 
 
-def _run_path(text: str, data: str, budget: int) -> Outcome:
-    """The outcome of the program of a parseable text and its data at the
+def _run_path(text: str, data: str, budget: int) -> PathFields:
+    """The fields of the read path of a parseable text and its data at the
     budget: the text's cached parse runs on the data directly, as
     ``run_program`` does once it has decoded them."""
     tape = _checked_tape(data) if data else _EMPTY_TAPE
     # machine.evaluate is the name the benchmark tracer wraps.
-    return machine.evaluate(sexpr.parse_program_cached(text), tape, budget)
+    out = machine.evaluate(sexpr.parse_program_cached(text), tape, budget)
+    return _path_of(out, budget)
 
 
 def _path_of(out: Outcome, budget: int) -> PathFields:
@@ -331,11 +328,6 @@ def _path_of(out: Outcome, budget: int) -> PathFields:
         # Undecodable, or decodable but structurally unrunnable.
         return STATUS_ABORTED, 0, None, 0
     return STATUS_UNKNOWN, budget, None, 0
-
-
-def _first_run(text: str, budget: int) -> PathFields:
-    """Worker: the fields of the text's run with no data."""
-    return _path_of(_run_path(text, "", budget), budget)
 
 
 def _decide_head(
@@ -358,7 +350,7 @@ def _decide_head(
         path = todo.pop()
         fields = paths.get(path)
         if fields is None:
-            fields = paths[path] = _path_of(_run_path(text, path, budget), budget)
+            fields = paths[path] = _run_path(text, path, budget)
         if fields[3] is None and len(path) < data_bits:
             todo += (path + "0", path + "1")
     return paths
@@ -569,12 +561,12 @@ def advance(
         _realign(census, texts)
     status, steps, values = census._status, census._steps, census._values
     pending = [i for i, run in enumerate(status) if run is None or run == STATUS_UNKNOWN]
-    args = [texts[i] for i in pending], itertools.repeat(budget)
+    args = [texts[i] for i in pending], itertools.repeat(""), itertools.repeat(budget)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        runs = map(_first_run, *args) if pool is None else pool.map(
-            _first_run, *args, chunksize=max(1, len(pending) // (jobs * 8)))
+        runs = map(_run_path, *args) if pool is None else pool.map(
+            _run_path, *args, chunksize=max(1, len(pending) // (jobs * 8)))
         for i, fields in zip(pending, runs):
             status[i], steps[i], values[i], read = fields
             if read is None:
@@ -906,9 +898,17 @@ def _header(path, head: str) -> tuple[Census, int]:
 
 
 def load_census(path) -> Census:
-    """Read a census file; rejects other machine versions and truncated or
-    mangled files, headers or records no census run can produce, and
-    numbers or hex spelled otherwise than ``save_census`` spells them.
+    """Read a census file; rejects other machine versions, truncated or
+    mangled files, and numbers or hex spelled otherwise than
+    ``save_census`` spells them.
+
+    The load checks structure and spelling only, not what a record claims
+    about its run: a valid halt in 0 steps, an empty value text and an
+    ``unknown`` record whose steps are not the stage's budget all load as
+    written, by either path below (acceptance criterion 10 round-trips
+    hand-made records like these on purpose).  Checking the records
+    against the machine belongs to a verify pass that replays the runs
+    (ROADMAP item 7, ``census --verify``).
 
     A first binary pass rejects a byte that is not ASCII and counts the
     newlines.  The header is the text up to the sixth newline, split as

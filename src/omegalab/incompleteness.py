@@ -127,10 +127,6 @@ def diagonal_table(n_rows: int, budget: int) -> DiagonalTable:
     return DiagonalTable(budget, tuple(rows))
 
 
-def diagonal_digits(n_rows: int, budget: int) -> tuple[int, ...]:
-    return diagonal_table(n_rows, budget).digits
-
-
 @dataclass(frozen=True, slots=True)
 class TheoryRun:
     """One budgeted run of a statement-generating program."""
@@ -141,10 +137,6 @@ class TheoryRun:
     budget: int
     budget_consumed: int
     terminal: str  # "out-of-time" | "halted" | "halted-invalid" | "aborted" | "malformed"
-
-    @property
-    def endless(self) -> bool:
-        return self.terminal == "out-of-time"
 
 
 def run_theory(theory: BinaryProgram, budget: int) -> TheoryRun:
@@ -160,9 +152,9 @@ def run_theory(theory: BinaryProgram, budget: int) -> TheoryRun:
        shape: its length and its first few items, an item being the atom
        itself or the length of a sub-list.
     2. A statement is compared in full only with the earlier statements of
-       its key, by ``_equal``.  On a key's first repeat its bucket is hashed:
-       only the statements of that key are hashed whole, and only those of
-       equal hash are compared.
+       its key, by ``_equal``.  On a key's first repeat its bucket is hashed
+       by ``_fingerprint``: only the statements of that key are walked
+       whole, and only those of equal fingerprint are compared.
     """
     result = run_program(theory, budget)
     out = result.outcome
@@ -193,16 +185,48 @@ def _shape_key(statement: SExpr) -> int:
     ))
 
 
+def _fingerprint(statement: SExpr, memo: dict[int, int]) -> int:
+    """A hash of the whole statement, equal for equal statements, taken
+    with no host recursion: ``hash`` of a tuple recurses in C, and crashes
+    the interpreter on one nested a few hundred thousand deep.
+
+    An atom's fingerprint is its hash, and a sub-list's is the hash of the
+    tuple of its items' fingerprints, kept in memo under the sub-list's id
+    so that a sub-list later statements share is walked once
+    (hash-consing: Filliatre and Conchon, ML Workshop 2006).  The
+    statements hold every sub-list walked, so no id is reused while memo
+    is in use.
+    """
+    if type(statement) is str:
+        return hash(statement)
+    todo = [statement]
+    while todo:
+        node = todo[-1]
+        if id(node) in memo:
+            todo.pop()
+            continue
+        fresh = [item for item in node if type(item) is tuple and id(item) not in memo]
+        if fresh:
+            todo += fresh
+            continue
+        todo.pop()
+        memo[id(node)] = hash(tuple([
+            hash(item) if type(item) is str else memo[id(item)] for item in node
+        ]))
+    return memo[id(statement)]
+
+
 def _first_emissions(statements: tuple) -> tuple:
     """The statements without repeats, in order of first emission, each
     the first object emitted of its value.
 
     A key's bucket is its one statement until a second statement has the
-    key; from then on it is a dict from a statement's whole hash to the
-    list of its statements of that hash.
+    key; from then on it is a dict from a statement's fingerprint to the
+    list of its statements of that fingerprint.
     """
     kept = []
     buckets: dict = {}
+    memo: dict[int, int] = {}
     for statement in statements:
         key = _shape_key(statement)
         bucket = buckets.get(key)
@@ -211,8 +235,8 @@ def _first_emissions(statements: tuple) -> tuple:
             kept.append(statement)
             continue
         if type(bucket) is not dict:
-            bucket = buckets[key] = {hash(bucket): [bucket]}
-        members = bucket.setdefault(hash(statement), [])
+            bucket = buckets[key] = {_fingerprint(bucket, memo): [bucket]}
+        members = bucket.setdefault(_fingerprint(statement, memo), [])
         if any(_equal(statement, member) for member in members):
             continue
         members.append(statement)
@@ -228,10 +252,6 @@ class OmegaBitClaims:
     inconsistent_positions: tuple[int, ...]
     claim_count: int
     theory_bits: int
-
-    @property
-    def consistent(self) -> bool:
-        return not self.inconsistent_positions
 
 
 def _claim_shape(statement: SExpr) -> tuple[int, int] | None:

@@ -431,6 +431,22 @@ def test_census_winner_follows_the_census(desk_census):
     rerun_witness(est)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("b", "witness value does not match the subject"),
+    ("(", "witness does not halt validly"),
+])
+def test_a_held_record_whose_run_disagrees_is_no_witness(text, message):
+    # Each held record claims the value a and is shorter than its 48-bit
+    # literal, so it is the census winner; its run is checked before it
+    # stands as the witness.
+    census = new_census(24)
+    bits = program_head(text)
+    census.records[bits] = Record(bits, STATUS_HALTED_VALID, 1, "a")
+    assert census.winner("a") == bits and len(bits) < 48
+    with pytest.raises(InvalidWitness, match=message):
+        h_upper("a", census)
+
+
 def test_queries_leave_no_trace_in_the_census(tmp_path):
     path, again = tmp_path / "c.census", tmp_path / "again.census"
     census = advance(new_census(20), 6)

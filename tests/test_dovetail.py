@@ -110,7 +110,7 @@ def test_first_stage_covers_17_bits_at_budget_two():
     assert set(census.records) == expected
     for record in census.records.values():
         # at budget 2 every one of these programs is already decided
-        assert record.decided
+        assert record.status != STATUS_UNKNOWN
 
 
 def test_advance_twice_by_one_equals_once_by_two():
@@ -124,7 +124,7 @@ def test_statuses_never_change_once_decided():
     snapshot = {
         bits: (r.status, r.steps, r.value_text)
         for bits, r in census.records.items()
-        if r.decided
+        if r.status != STATUS_UNKNOWN
     }
     advance(census, 4)
     for bits, fields in snapshot.items():
@@ -626,7 +626,7 @@ def _reference_advance(census, stages: int):
     for _ in range(stages):
         census.stage += 1
         for record in census.records.values():
-            if not record.decided:
+            if record.status == STATUS_UNKNOWN:
                 fields = _reference_fields(record.bits, 2**census.stage)
                 record.status, record.steps, record.value_text = fields
     return census
@@ -959,13 +959,16 @@ def test_pool_runs_only_the_runs_with_no_data(reading_pool, monkeypatch, tmp_pat
             return False
 
         def map(self, fn, *iterables, chunksize=1):
-            mapped.append(fn.__name__)
-            return map(fn, *iterables)
+            def recorded(text, data, budget):
+                mapped.append((fn.__name__, data))
+                return fn(text, data, budget)
+
+            return map(recorded, *iterables)
 
     # advance imports the pool class from its package when it opens a pool.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     census = advance(new_census(reading_pool + 6), 9, jobs=2)
-    assert mapped == ["_first_run"]
+    assert mapped and set(mapped) == {("_run_path", "")}
     assert census == advance(new_census(reading_pool + 6), 9, jobs=1)
     reference = reference_dovetail.advance(new_census(reading_pool + 6), 9)
     _assert_matches_reference(census, reference, tmp_path)

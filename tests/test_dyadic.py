@@ -37,6 +37,17 @@ def test_addition_is_exact_at_extreme_scale():
     assert (total + DyadicRational.half_power(192)).fraction == Fraction(2, 2**192)
 
 
+@given(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=400))
+def test_difference_of_two_powers_exact(j, k):
+    big, small = DyadicRational.half_power(min(j, k)), DyadicRational.half_power(max(j, k))
+    difference = big - small
+    assert difference.fraction == Fraction(1, 2 ** min(j, k)) - Fraction(1, 2 ** max(j, k))
+    assert difference + small == big
+    if j != k:
+        with pytest.raises(ValueError):
+            small - big
+
+
 def test_comparisons():
     a = DyadicRational.half_power(3)
     b = DyadicRational.half_power(2)

@@ -309,6 +309,32 @@ def test_run_remaining_aborts_on_garbage():
     assert isinstance(run("(run-remaining)", tape=""), AbortOverrun)
 
 
+def test_run_remaining_aborts_on_an_embedded_program_that_cannot_run():
+    # Two forms, the first not a define: the embedded program parses but
+    # is malformed as a program, so the nested run aborts.
+    inner = encode_text("a (' b)")
+    assert isinstance(run("(run-remaining)", tape=inner.bits), AbortOverrun)
+
+
+def test_equal_compares_values_too_deep_for_equality_without_recursion(monkeypatch):
+    def nest(depth, atom):
+        value = atom
+        for _ in range(depth):
+            value = (value,)
+        return value
+
+    deep_calls = []
+    deep_equal = evaluator._deep_equal
+
+    def counted(a, b):
+        deep_calls.append(1)
+        return deep_equal(a, b)
+
+    monkeypatch.setattr(evaluator, "_deep_equal", counted)
+    assert evaluator._equal(nest(100_000, "a"), nest(100_000, "b")) is False
+    assert deep_calls == [1]
+
+
 def test_determinism():
     text = IN_SET_TEXT + "(in-set? (read-bit) (' (0 1)))"
     outs = {evaluate(parse(text), BitTape("1"), 100) for _ in range(5)}

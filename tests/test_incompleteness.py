@@ -1,12 +1,14 @@
 """Diagonal digits, theory runs, and claim harvesting."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import DIVERGER_TEXT
 from omegalab.incompleteness import (
-    diagonal_digits,
     diagonal_table,
     digit_output_of,
     digit_program_output,
@@ -16,7 +18,7 @@ from omegalab.incompleteness import (
     unary,
 )
 from omegalab import incompleteness
-from omegalab.evaluator import OutOfTime
+from omegalab.evaluator import OutOfTime, _equal
 from omegalab.machine import RunResult, encode_program, encode_text, run_program
 from omegalab.sexpr import QUOTE_ATOM, parse_one, print_canonical
 
@@ -168,7 +170,7 @@ def test_diagonal_rule():
 
 def test_diagonal_digits_disagree_with_produced_diagonal():
     budget = 1 << 12
-    digits = diagonal_digits(50, budget)
+    digits = diagonal_table(50, budget).digits
     assert len(digits) == 50
     for n in range(1, 51):
         produced = digit_program_output(n, n, budget)
@@ -203,7 +205,6 @@ def test_run_theory_unary_stream_grows_with_budget():
     for budget in (64, 256, 1024):
         run = run_theory(program, budget)
         assert run.terminal == "out-of-time"
-        assert run.endless
         lengths.append(len(run.theorems))
         runs.append(run.theorems)
     assert lengths[0] >= 1
@@ -242,9 +243,21 @@ def test_run_theory_keeps_the_first_of_equal_statements(monkeypatch):
 def test_run_theory_flags_halting_theory():
     run = run_theory(encode_text("(display (' (only fact)))"), 4096)
     assert run.terminal == "halted"
-    assert not run.endless
     assert run.theorems == (("only", "fact"),)
     assert run.budget_consumed < run.budget
+
+
+@pytest.mark.parametrize("text, terminal, theorems, consumed", [
+    # Emits a, then reads a bit the empty data does not hold.
+    ("(join (display a) (read-bit))", "aborted", ("a",), 4),
+    # Two forms, the first not a define: the program cannot run.
+    ("(' a) (' b)", "malformed", (), 0),
+])
+def test_run_theory_of_a_theory_that_cannot_go_on(text, terminal, theorems, consumed):
+    run = run_theory(encode_text(text), 4096)
+    assert (run.terminal, run.theorems, run.budget_consumed) == (
+        terminal, theorems, consumed
+    )
 
 
 def test_run_theory_empty_emitter():
@@ -266,7 +279,7 @@ def test_omega_bit_claims_canonical_shape():
     claims = omega_bit_claims(run)
     assert claims.claims == {3: 0}
     assert claims.claim_count == 1
-    assert claims.consistent
+    assert not claims.inconsistent_positions
     assert claims.theory_bits == run.size_bits
 
 
@@ -284,7 +297,6 @@ def test_omega_bit_claims_ignore_other_shapes():
 def test_omega_bit_claims_contradiction_flagged():
     claims = omega_bit_claims(run_theory(encode_text(CONTRADICTION_TEXT), 4096))
     assert claims.inconsistent_positions == (1,)
-    assert not claims.consistent
     assert 1 not in claims.claims
 
 
@@ -293,7 +305,7 @@ def test_omega_bit_claims_stream_counts_vs_size():
     run = run_theory(program, 1 << 12)
     claims = omega_bit_claims(run)
     assert claims.claim_count >= 3
-    assert claims.consistent
+    assert not claims.inconsistent_positions
     assert set(claims.claims.values()) == {0}
     # positions are an initial segment of 1, 2, 3, ...
     assert sorted(claims.claims) == list(range(1, claims.claim_count + 1))
@@ -370,10 +382,70 @@ def test_run_theory_of_a_nested_generator_at_a_small_budget():
     # Emits a, (a), ((a)), ...: one shape key for every statement after
     # the first, so all but a few go through the hashed bucket.
     program = encode_text("(define (go n) (go (join (display n) ()))) (go a)")
-    run = run_theory(program, 1 << 10)
-    emitted = run_program(program, 1 << 10).outcome.emitted
-    assert len(run.theorems) > 100
-    assert run.theorems == tuple(dict.fromkeys(emitted))
+    run = run_theory(program, 1 << 13)
+    emitted = run_program(program, 1 << 13).outcome.emitted
+    assert len(run.theorems) > 1000
+    # Statements this deep compare by _equal: == recurses too deep for them.
+    assert _equal(run.theorems, tuple(dict.fromkeys(emitted)))
+
+
+DEEP_STREAM_SCRIPT = """
+from omegalab import incompleteness
+from omegalab.evaluator import OutOfTime
+from omegalab.machine import RunResult, encode_text
+
+
+def nest(depth):
+    value = "a"
+    for _ in range(depth):
+        value = (value,)
+    return value
+
+
+# Every statement is a one-item list of a one-item list: one shape key.
+deep, copy = nest(300_001), nest(300_001)
+stream = (deep, (deep,), copy, (copy,))
+incompleteness.run_program = lambda theory, budget: RunResult(OutOfTime(stream), 0)
+theorems = incompleteness.run_theory(encode_text("(' a)"), 16).theorems
+print(len(theorems), theorems[0] is deep, theorems[1] is stream[1])
+"""
+
+
+def test_run_theory_dedupes_statements_nested_past_the_host_stack():
+    # In a child process: hashing a tuple this deep recurses in C and
+    # crashes the interpreter.  The child imports the same source tree.
+    src = os.path.dirname(os.path.dirname(incompleteness.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", DEEP_STREAM_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["2", "True", "True"]
+
+
+def test_run_theory_compares_every_statement_of_one_fingerprint(monkeypatch):
+    # With every fingerprint equal, only the full comparison tells the
+    # statements of one shape apart.
+    monkeypatch.setattr(incompleteness, "_fingerprint", lambda statement, memo: 0)
+    stream = [("t", ("x", "y"), "z"), ("t", ("y", "x"), "z"), ("t", ("x", "y"), "z")]
+    assert_first_emissions(theorems_of(monkeypatch, stream), stream)
+
+
+def test_fingerprints_tell_apart_statements_of_one_shape():
+    # Equal statements share a fingerprint; these differ only past the
+    # shape key's reach, in item order or in depth.
+    memo = {}
+    statements = [
+        ("t", ("x", "y"), "z"), ("t", ("y", "x"), "z"), ("t", (("x",), "y"), "z"),
+        ("t", ("x", ("y",)), "z"), ("t", ("x", "y"), "z", "w"), ("t", ("x", "y"), "z", ()),
+    ]
+    prints = {incompleteness._fingerprint(s, memo) for s in statements}
+    assert len(prints) == len(statements)
+    copies = [tuple(list(s)) for s in statements]
+    assert {incompleteness._fingerprint(s, memo) for s in copies} == prints
 
 
 def test_run_theory_of_the_benchmark_stream_matches_a_whole_hash_dedupe(monkeypatch):
