@@ -404,6 +404,14 @@ MUTANTS = (
         "",
         ("tests/test_evaluator.py", "-k", "run_remaining"),
     ),
+    Mutant(
+        "evaluate-skips-tape-check",
+        "evaluator.py",
+        '    if tape.strip("01"):\n'
+        '        raise ValueError("tape bits must be a string over 0/1")\n',
+        "",
+        ("tests/test_evaluator.py", "-k", "tape_must_be"),
+    ),
 )
 
 

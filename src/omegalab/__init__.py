@@ -14,7 +14,6 @@ from .sexpr import (
 )
 from .evaluator import (
     AbortOverrun,
-    BitTape,
     Halted,
     MalformedProgram,
     Outcome,

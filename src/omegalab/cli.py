@@ -18,7 +18,6 @@ from itertools import islice
 from . import complexity, dovetail, incompleteness, machine, sexpr
 from .evaluator import (
     AbortOverrun,
-    BitTape,
     Halted,
     OutOfTime,
     evaluate,
@@ -99,8 +98,7 @@ def _cmd_eval(ns) -> int:
     if ns.tape_file:
         with open(ns.tape_file, "r", encoding="ascii") as fh:
             tape_bits = fh.read().strip()
-    tape = BitTape(tape_bits)
-    outcome = evaluate(program, tape, ns.budget)
+    outcome = evaluate(program, tape_bits, ns.budget)
     report = _outcome_fields(outcome)
     if isinstance(outcome, Halted):
         # The headline result, on its own line in text mode.

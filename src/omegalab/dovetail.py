@@ -46,8 +46,6 @@ from .evaluator import (
     Halted,
     MalformedProgram,
     Outcome,
-    _EMPTY_TAPE,
-    _checked_tape,
     head_bits,
     head_hex,
     max_text_chars,
@@ -311,9 +309,8 @@ def _run_path(text: str, data: str, budget: int) -> PathFields:
     """The fields of the read path of a parseable text and its data at the
     budget: the text's cached parse runs on the data directly, as
     ``run_program`` does once it has decoded them."""
-    tape = _checked_tape(data) if data else _EMPTY_TAPE
     # machine.evaluate is the name the benchmark tracer wraps.
-    out = machine.evaluate(sexpr.parse_program_cached(text), tape, budget)
+    out = machine.evaluate(sexpr.parse_program_cached(text), data, budget)
     return _path_of(out, budget)
 
 

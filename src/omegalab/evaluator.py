@@ -4,7 +4,9 @@ A program is a sequence of top-level expressions, every one but the last a
 ``define`` form.  Evaluation is metered: each evaluator entry for any
 subexpression costs exactly one step, and exhausting the step budget is an
 ordinary outcome, not an error.  All anomalies are outcome values; no
-program text that parses can raise.
+program text that parses can raise.  The tape is a plain string over 0/1,
+read from its first bit; ``evaluate`` checks it on entry, as it checks the
+budget, so ``(run-remaining)`` only ever scans 0/1 bits.
 
 Total semantics, chosen for a two-valued halting census:
   * unbound atoms evaluate to themselves,
@@ -58,33 +60,6 @@ from .sexpr import (
     parse_program_cached,
 )
 
-@dataclass(frozen=True, slots=True)
-class BitTape:
-    """An immutable 0/1 string, read from its first bit."""
-
-    bits: str = ""
-
-    def __post_init__(self):
-        if self.bits.strip("01"):
-            raise ValueError("tape bits must be a string over 0/1")
-
-
-# Slot setters that build a frozen value without its constructor.
-_new = object.__new__
-_set_tape_bits = BitTape.bits.__set__
-
-
-def _checked_tape(bits: str) -> BitTape:
-    """A tape over bits already known to be a 0/1 string, built without
-    the constructor's check."""
-    tape = _new(BitTape)
-    _set_tape_bits(tape, bits)
-    return tape
-
-
-# The tape of every run with no data; a tape is frozen, so one serves all.
-_EMPTY_TAPE = _checked_tape("")
-
 
 @dataclass(frozen=True, slots=True)
 class Halted:
@@ -114,8 +89,9 @@ class MalformedProgram:
 
 Outcome = Union[Halted, AbortOverrun, OutOfTime, MalformedProgram]
 
-# Every run ends in one of these; like the tape, they are built through
-# their slot setters, not the frozen constructor.
+# Every run ends in one of these; they are built through their slot
+# setters, not the frozen constructor.
+_new = object.__new__
 _set_halted_value = Halted.value.__set__
 _set_halted_bits = Halted.bits_consumed.__set__
 _set_halted_steps = Halted.steps.__set__
@@ -447,22 +423,25 @@ def _global_env(env: Env) -> Env:
     return env
 
 
-def evaluate(program: tuple[SExpr, ...], tape: BitTape, budget: int) -> Outcome:
+def evaluate(program: tuple[SExpr, ...], tape: str, budget: int) -> Outcome:
     """Run a program against a tape under a step budget.
 
-    Deterministic in (program, tape contents, budget).  The result is one of
-    the four outcome values; see the module docstring for the semantics.
+    The tape is a string over 0/1, read from its first bit; any other
+    character raises ValueError on entry, as a budget below 1 does.
+    Deterministic in (program, tape, budget).  The result is one of the four
+    outcome values; see the module docstring for the semantics.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if tape.strip("01"):
+        raise ValueError("tape bits must be a string over 0/1")
     if not program:
         return MalformedProgram(EMPTY_PROGRAM)
     if len(program) > 1 and not _defines_then_body(program):
         return MalformedProgram(NON_DEFINE_FORM)
 
-    bits = tape.bits
     cursor = 0
-    nbits = len(bits)
+    nbits = len(tape)
     steps = 0
     emitted: list = []
     vals: list = []
@@ -520,10 +499,10 @@ def evaluate(program: tuple[SExpr, ...], tape: BitTape, budget: int) -> Outcome:
             elif kind == _READ_BIT:
                 if cursor >= nbits:
                     return _aborted(steps, tuple(emitted))
-                vals.append(bits[cursor])
+                vals.append(tape[cursor])
                 cursor += 1
             elif kind == _RUN_REMAINING:
-                scanned = scan_program(bits, cursor)
+                scanned = scan_program(tape, cursor)
                 if type(scanned) is MalformedProgram:
                     return _aborted(steps, tuple(emitted))
                 inner, _, cursor = scanned

@@ -24,7 +24,6 @@ from .evaluator import (
     Halted,
     MalformedProgram,
     OutOfTime,
-    _EMPTY_TAPE,
     _equal,
 )
 from .machine import BinaryProgram, encode_program, run_program
@@ -75,7 +74,7 @@ def _digit_output(expr: SExpr, expr_text: str, m: int, budget: int) -> int | Non
         # empty tape is the encoded run, and with no data bits every halt
         # is a valid halt.  machine.evaluate is the name the benchmark
         # tracer wraps.
-        outcome = machine.evaluate(program, _EMPTY_TAPE, budget)
+        outcome = machine.evaluate(program, "", budget)
     if type(outcome) is not Halted:
         return None
     value = outcome.value
@@ -127,9 +126,13 @@ def diagonal_table(n_rows: int, budget: int) -> DiagonalTable:
     return DiagonalTable(budget, tuple(rows))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class TheoryRun:
-    """One budgeted run of a statement-generating program."""
+    """One budgeted run of a statement-generating program.
+
+    Compared and hashed by identity: tuple ``==`` and ``hash`` over its
+    theorems would recurse once per nesting level of a statement.
+    """
 
     theory: BinaryProgram
     size_bits: int

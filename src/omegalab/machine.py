@@ -22,7 +22,7 @@ from .evaluator import (
     Halted,
     MalformedProgram,
     Outcome,
-    _checked_tape,
+    _new,
     evaluate,
     program_head,
     scan_program,
@@ -78,7 +78,6 @@ class BinaryProgram:
         return bits_to_hex(self.bits)
 
 
-_new = object.__new__
 _set_program_bits = BinaryProgram.bits.__set__
 
 
@@ -168,7 +167,7 @@ def run_program(program: BinaryProgram, budget: int = DEFAULT_BUDGET) -> RunResu
         return result
     exprs, _, end = scanned
     data = bits[end:]
-    _set_result_outcome(result, evaluate(exprs, _checked_tape(data), budget))
+    _set_result_outcome(result, evaluate(exprs, data, budget))
     _set_result_data_length(result, len(data))
     return result
 

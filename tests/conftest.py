@@ -83,9 +83,11 @@ def random_tape(rng):
     return "".join(rng.choice("01") for _ in range(rng.randrange(0, 13)))
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def desk_census():
-    """A fully decided census over the 24-bit corpus, shared read-only."""
+    """A fully decided census over the 24-bit corpus, built for each test:
+    reading ``records`` turns a census into held records, so one shared
+    census would change its form under every later test."""
     from omegalab.dovetail import advance, new_census
 
     return advance(new_census(24), 10)

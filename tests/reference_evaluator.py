@@ -176,7 +176,7 @@ def reference_evaluate(program, tape, budget):
         return MalformedProgram(EMPTY_PROGRAM)
     if not all(_is_define(f) for f in program[:-1]):
         return MalformedProgram(NON_DEFINE_FORM)
-    run = _Run(tape.bits, budget)
+    run = _Run(tape, budget)
     try:
         value = run.sequence(program, ({}, None))
     except _OutOfTime:

@@ -27,7 +27,7 @@ from omegalab.dovetail import (
     save_census,
 )
 from omegalab.dyadic import DyadicRational
-from omegalab.evaluator import BitTape, Halted, OutOfTime, evaluate
+from omegalab.evaluator import Halted, OutOfTime, evaluate
 from omegalab.incompleteness import diagonal_table, digit_program_output
 from omegalab.machine import (
     BinaryProgram,
@@ -59,10 +59,10 @@ def test_criterion_1_paper_example_fidelity():
     with criterion(1, "set-membership program yields true/false"):
         started = time.perf_counter()
         member = evaluate(
-            parse(IN_SET_TEXT + "(in-set? (' y) (' (x y z)))"), BitTape(), 4096
+            parse(IN_SET_TEXT + "(in-set? (' y) (' (x y z)))"), "", 4096
         )
         non_member = evaluate(
-            parse(IN_SET_TEXT + "(in-set? (' q) (' (x y z)))"), BitTape(), 4096
+            parse(IN_SET_TEXT + "(in-set? (' q) (' (x y z)))"), "", 4096
         )
         elapsed = time.perf_counter() - started
         assert isinstance(member, Halted) and member.value == "true"
@@ -212,7 +212,7 @@ def test_criterion_9_budget_monotonicity_fuzzed():
         halted = 0
         for _ in range(1000):
             program = (random_expr(rng, 3),)
-            tape = BitTape(random_tape(rng))
+            tape = random_tape(rng)
             budget = 1
             outcome = None
             while budget <= (1 << 14):

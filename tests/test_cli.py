@@ -541,6 +541,12 @@ def test_domain_error_names_its_class(capsys, tmp_path, name, argv):
     assert err.startswith(f"error {name}: ")
 
 
+def test_eval_rejects_a_tape_that_is_not_bits(capsys):
+    code, out, err = run_cli(capsys, "eval", "--expr", "a", "--tape", "2")
+    assert (code, out) == (1, "")
+    assert err == "error ValueError: tape bits must be a string over 0/1\n"
+
+
 # The parent of the per-head census printed this for the 24/10 census.
 OMEGA_24_10_REPORT = """\
 # machine: omegalab-machine-1

@@ -12,7 +12,6 @@ from conftest import DIVERGER_TEXT, IN_SET_TEXT, bit_strings
 from omegalab import evaluator
 from omegalab.evaluator import (
     AbortOverrun,
-    BitTape,
     Halted,
     MalformedProgram,
     OutOfTime,
@@ -23,7 +22,7 @@ from omegalab.sexpr import parse
 
 
 def run(text, tape="", budget=4096):
-    return evaluate(parse(text), BitTape(tape), budget)
+    return evaluate(parse(text), tape, budget)
 
 
 def halted_value(text, tape="", budget=4096):
@@ -149,7 +148,7 @@ def test_display_renders_closures_inside_lists():
 SHARED_DOUBLING_SCRIPT = """
 import resource
 
-from omegalab.evaluator import BitTape, evaluate
+from omegalab.evaluator import evaluate
 from omegalab.sexpr import parse
 
 text = (
@@ -159,7 +158,7 @@ text = (
 )
 # A walk per path would run for years: end it after 5 s of CPU time.
 resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
-out = evaluate(parse(text), BitTape(""), 4096)
+out = evaluate(parse(text), "", 4096)
 print(type(out).__name__, out.steps)
 """
 
@@ -212,12 +211,24 @@ def test_malformed_non_define_leading_form():
 
 
 def test_malformed_empty_program():
-    assert evaluate((), BitTape(), 8) == MalformedProgram("EmptyProgram")
+    assert evaluate((), "", 8) == MalformedProgram("EmptyProgram")
 
 
 def test_budget_must_be_positive():
     with pytest.raises(ValueError):
-        evaluate(parse("x"), BitTape(), 0)
+        evaluate(parse("x"), "", 0)
+
+
+@pytest.mark.parametrize("text, tape", [
+    ("x", "012"),
+    ("(run-remaining)", "0a"),
+    ("(run-remaining)", "0a000000" + "00000000"),
+])
+def test_tape_must_be_a_bit_string(text, tape):
+    # Checked on entry: unchecked, (run-remaining) would read the last
+    # tape's text with int(..., 2) and raise, and no parsed program may.
+    with pytest.raises(ValueError, match=r"^tape bits must be a string over 0/1$"):
+        evaluate(parse(text), tape, 8)
 
 
 def test_out_of_time_on_diverger():
@@ -337,24 +348,24 @@ def test_equal_compares_values_too_deep_for_equality_without_recursion(monkeypat
 
 def test_determinism():
     text = IN_SET_TEXT + "(in-set? (read-bit) (' (0 1)))"
-    outs = {evaluate(parse(text), BitTape("1"), 100) for _ in range(5)}
+    outs = {evaluate(parse(text), "1", 100) for _ in range(5)}
     assert len(outs) == 1
 
 
 def test_budget_monotonic_same_value():
     text = IN_SET_TEXT + "(in-set? (' y) (' (x y z)))"
     program = parse(text)
-    base = evaluate(program, BitTape(), 29)
+    base = evaluate(program, "", 29)
     assert isinstance(base, Halted)
     for budget in (30, 58, 1 << 16):
-        again = evaluate(program, BitTape(), budget)
+        again = evaluate(program, "", budget)
         assert again == base
 
 
 def test_tape_extension_preserves_halts():
     program = parse("(join (read-bit) ())")
-    short = evaluate(program, BitTape("1"), 100)
-    longer = evaluate(program, BitTape("10110"), 100)
+    short = evaluate(program, "1", 100)
+    longer = evaluate(program, "10110", 100)
     assert isinstance(short, Halted) and isinstance(longer, Halted)
     assert short.value == longer.value
     assert short.bits_consumed == longer.bits_consumed == 1
@@ -363,7 +374,7 @@ def test_tape_extension_preserves_halts():
 @given(bit_strings, st.integers(min_value=1, max_value=64))
 @settings(max_examples=60)
 def test_read_bits_consume_prefix_only(tape, budget):
-    out = evaluate(parse("(join (read-bit) (join (read-bit) ()))"), BitTape(tape), budget)
+    out = evaluate(parse("(join (read-bit) (join (read-bit) ()))"), tape, budget)
     if isinstance(out, Halted):
         assert out.value == (tape[0], tape[1])
         assert out.bits_consumed == 2
@@ -380,7 +391,7 @@ def test_totality_fuzzed_programs_never_raise():
     variants = (Halted, AbortOverrun, OutOfTime, MalformedProgram)
     for _ in range(500):
         program = (random_expr(rng, 3),)
-        out = evaluate(program, BitTape(random_tape(rng)), rng.choice((1, 7, 300)))
+        out = evaluate(program, random_tape(rng), rng.choice((1, 7, 300)))
         assert isinstance(out, variants)
 
 
@@ -395,11 +406,11 @@ def test_tape_monotonicity_fuzzed():
     for _ in range(400):
         program = (random_expr(rng, 3),)
         tape = random_tape(rng)
-        out = evaluate(program, BitTape(tape), 512)
+        out = evaluate(program, tape, 512)
         if not isinstance(out, Halted):
             continue
         checked += 1
-        extended = evaluate(program, BitTape(tape + "1" + random_tape(rng)), 512)
+        extended = evaluate(program, tape + "1" + random_tape(rng), 512)
         assert isinstance(extended, Halted)
         assert extended.value == out.value
         assert extended.bits_consumed == out.bits_consumed

@@ -378,15 +378,28 @@ def test_run_theory_compares_statements_too_deep_for_equality(monkeypatch):
     assert theorems[0] is deep and theorems[1] is other
 
 
+# Emits a, (a), ((a)), ...: one shape key for every statement after the
+# first, so all but a few go through the hashed bucket.
+NESTED_GENERATOR_TEXT = "(define (go n) (go (join (display n) ()))) (go a)"
+
+
 def test_run_theory_of_a_nested_generator_at_a_small_budget():
-    # Emits a, (a), ((a)), ...: one shape key for every statement after
-    # the first, so all but a few go through the hashed bucket.
-    program = encode_text("(define (go n) (go (join (display n) ()))) (go a)")
+    program = encode_text(NESTED_GENERATOR_TEXT)
     run = run_theory(program, 1 << 13)
     emitted = run_program(program, 1 << 13).outcome.emitted
     assert len(run.theorems) > 1000
     # Statements this deep compare by _equal: == recurses too deep for them.
     assert _equal(run.theorems, tuple(dict.fromkeys(emitted)))
+
+
+def test_theory_runs_compare_and_hash_by_identity():
+    # Tuple == and hash over theorems this deep would recurse once per
+    # level (== raises RecursionError here); a run is one object.
+    program = encode_text(NESTED_GENERATOR_TEXT)
+    run, again = run_theory(program, 1 << 13), run_theory(program, 1 << 13)
+    assert run == run and run != again
+    assert len({run, again, run}) == 2
+    assert hash(run) != hash(again)
 
 
 DEEP_STREAM_SCRIPT = """

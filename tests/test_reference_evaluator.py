@@ -10,7 +10,7 @@ import random
 import pytest
 
 from conftest import ATOM_POOL, IN_SET_TEXT, random_expr, random_sexpr, random_tape
-from omegalab.evaluator import BitTape, evaluate
+from omegalab.evaluator import evaluate
 from omegalab.machine import encode_text
 from omegalab.sexpr import parse
 from reference_evaluator import reference_evaluate
@@ -32,8 +32,8 @@ def plain(value):
 
 
 def assert_agree(program, tape, budget):
-    got = evaluate(program, BitTape(tape), budget)
-    want = reference_evaluate(program, BitTape(tape), budget)
+    got = evaluate(program, tape, budget)
+    want = reference_evaluate(program, tape, budget)
     # A Closure equals its source, so a result that leaked one would still
     # compare equal; neither it nor a run-time list view may leave a run.
     assert plain(getattr(got, "value", ())), program
@@ -170,7 +170,7 @@ def assert_agree_at_every_budget(program, tape):
     """Agreement at every budget from 1 to one past the steps a run takes,
     or up to 300 for a run that takes more, so that each step in turn is
     the one that runs out of time."""
-    full = reference_evaluate(program, BitTape(tape), 300)
+    full = reference_evaluate(program, tape, 300)
     steps = getattr(full, "steps", 299)
     for budget in range(1, steps + 2):
         assert_agree(program, tape, budget)
