@@ -80,10 +80,17 @@ MUTANTS = (
     Mutant(
         "blocks-every-halt-valid",
         "dovetail.py",
-        "        if status == STATUS_HALTED_VALID and bits_read != n:\n"
+        "        if status == STATUS_HALTED_VALID and len(path) < n:\n"
         "            status = STATUS_HALTED_INVALID\n",
         "",
         ("tests/test_dovetail.py", "-k", "read_paths_match or decide_from_paths"),
+    ),
+    Mutant(
+        "blocks-grows-malformed-abort",
+        "dovetail.py",
+        "        if status == STATUS_ABORTED and steps and len(path) < n:\n",
+        "        if status == STATUS_ABORTED and len(path) < n:\n",
+        ("tests/test_dovetail.py", "-k", "reading or heads_that_read or own_line"),
     ),
     Mutant(
         "decide-skips-held-below-window",
@@ -131,9 +138,9 @@ MUTANTS = (
     Mutant(
         "aborted-run-kept-in-columns",
         "dovetail.py",
-        "            if read is None:\n"
+        "            if status[i] == STATUS_ABORTED and steps[i]:\n"
         "                census._paths[texts[i]] = {\"\": fields}",
-        "            if read is None:\n"
+        "            if status[i] == STATUS_ABORTED and steps[i]:\n"
         "                pass",
         ("tests/test_dovetail.py", "-k", "heads_that_read_match"),
     ),
@@ -147,9 +154,9 @@ MUTANTS = (
     Mutant(
         "loaded-abort-kept-in-columns",
         "dovetail.py",
-        "                    if bits_read is None:\n"
+        "                    if status[i] == STATUS_ABORTED and steps[i]:\n"
         "                        census._paths[text] = {\"\": fields}",
-        "                    if bits_read is None:\n"
+        "                    if status[i] == STATUS_ABORTED and steps[i]:\n"
         "                        pass",
         ("tests/test_dovetail.py", "-k", "heads_that_read_load"),
     ),
@@ -159,6 +166,14 @@ MUTANTS = (
         "[next(column) if keep else None for keep in kept]",
         "[None for keep in kept]",
         ("tests/test_cli.py", "-k", "resume_runs_only"),
+    ),
+    Mutant(
+        "advance-keeps-hand-set-window",
+        "dovetail.py",
+        "    if census._window is not None and census._window[1] != census.enrolled_bits:\n"
+        "        _materialise(census)  # the stage was set by hand\n",
+        "",
+        ("tests/test_dovetail.py", "-k", "enumerated_census_matches"),
     ),
     Mutant(
         "tally-longer-records-valid",
@@ -319,8 +334,8 @@ MUTANTS = (
     Mutant(
         "path-fields-keeps-line-status",
         "dovetail.py",
-        "            return STATUS_HALTED_VALID, steps, parts[4], data_bits\n",
-        "            return status, steps, parts[4], data_bits\n",
+        "            return STATUS_HALTED_VALID, steps, parts[4]\n",
+        "            return status, steps, parts[4]\n",
         ("tests/test_dovetail.py", "-k", "small_part"),
     ),
     Mutant(

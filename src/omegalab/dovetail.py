@@ -70,9 +70,9 @@ STATUS_UNKNOWN = "unknown"
 
 _CENSUS_MAGIC = "omegalab census 1"
 
-# What one run on a read path decides: (status, steps, value text, data bits
-# read), the bits read None on an abort, which may be a read past the path.
-PathFields = tuple[str, int, str | None, int | None]
+# What one run on a read path decides, the fields of the path's own record:
+# (status, steps, value text).  Only an abort after a step may read past it.
+PathFields = tuple[str, int, str | None]
 
 
 class VersionMismatch(Exception):
@@ -110,7 +110,7 @@ class Census:
     that halts, runs out of time or is malformed read no data, so it
     decides every record of its text.  Only a text whose run aborted keeps
     its decided read paths in ``_paths``: data bits ("" among them) to
-    (status, steps, value text, data bits read; None on an abort).  The
+    (status, steps, value text), the fields of the path's own record.  The
     records of the programs ``advance`` enrolled follow from these and the
     window of program lengths that it enrolled, so none is built.
     ``records`` holds the records kept one by one: hand-enrolled,
@@ -229,7 +229,7 @@ def _value_index(census: Census) -> dict[str, str]:
         zip(range(len(texts)), itertools.repeat(""), census._status, census._values),
         ((bisect_left(texts, text), data, status, value_text)
          for text, paths in census._paths.items()
-         for data, (status, _, value_text, _) in paths.items()),
+         for data, (status, _, value_text) in paths.items()),
     )
     derived: dict[str, tuple[int, int, str]] = {}
     above = (last + 1,)  # after every key in the window
@@ -317,14 +317,13 @@ def _run_path(text: str, data: str, budget: int) -> PathFields:
 def _path_of(out: Outcome, budget: int) -> PathFields:
     """The fields of a read path whose run had the outcome."""
     if isinstance(out, Halted):
-        value_text = sexpr.print_canonical(out.value)
-        return STATUS_HALTED_VALID, out.steps, value_text, out.bits_consumed
+        return STATUS_HALTED_VALID, out.steps, sexpr.print_canonical(out.value)
     if isinstance(out, AbortOverrun):
-        return STATUS_ABORTED, out.steps, None, None
+        return STATUS_ABORTED, out.steps, None
     if isinstance(out, MalformedProgram):
         # Undecodable, or decodable but structurally unrunnable.
-        return STATUS_ABORTED, 0, None, 0
-    return STATUS_UNKNOWN, budget, None, 0
+        return STATUS_ABORTED, 0, None
+    return STATUS_UNKNOWN, budget, None
 
 
 def _decide_head(
@@ -335,11 +334,11 @@ def _decide_head(
 
     A run on ``data[:j]`` that halts, runs out of time or is malformed read
     at most j data bits, so its outcome decides every extension of the path.
-    An abort may be a read past bit j, so the path grows by one bit, both
-    ways, while it holds fewer than ``data_bits`` bits.  The paths in
-    ``known`` were run already, at this budget or a smaller one, and a
-    halt or abort at step k is the same at any larger one, so only the
-    other paths run.
+    An abort after a step may be a read past bit j, so the path grows by
+    one bit, both ways, while it holds fewer than ``data_bits`` bits.  The
+    paths in ``known`` were run already, at this budget or a smaller one,
+    and a halt or abort at step k is the same at any larger one, so only
+    the other paths run.
     """
     paths = dict(known)
     todo = [""]
@@ -348,7 +347,7 @@ def _decide_head(
         fields = paths.get(path)
         if fields is None:
             fields = paths[path] = _run_path(text, path, budget)
-        if fields[3] is None and len(path) < data_bits:
+        if fields[0] == STATUS_ABORTED and fields[1] and len(path) < data_bits:
             todo += (path + "0", path + "1")
     return paths
 
@@ -360,19 +359,20 @@ def _blocks(
     (count, status, steps, value text): one run per path that decides them.
 
     A path with no fields yet is first reached at its own length, where its
-    run is its own record alone; ``read(data bits)`` gives its fields then.
+    run is its own record alone; ``read()`` gives its fields then.  A halt
+    read all of the path, so it is valid for the path's own record only.
     """
     todo = [""]
     while todo:
         path = todo.pop()
         fields = paths.get(path)
         if fields is None:
-            fields = paths[path] = read(len(path))
-        status, steps, value_text, bits_read = fields
-        if bits_read is None and len(path) < n:
+            fields = paths[path] = read()
+        status, steps, value_text = fields
+        if status == STATUS_ABORTED and steps and len(path) < n:
             todo += (path + "1", path + "0")
             continue
-        if status == STATUS_HALTED_VALID and bits_read != n:
+        if status == STATUS_HALTED_VALID and len(path) < n:
             status = STATUS_HALTED_INVALID
         yield 1 << (n - len(path)), status, steps, value_text
 
@@ -381,7 +381,7 @@ def _text_paths(census: Census, i: int) -> dict[str, PathFields]:
     """The read paths of the census's i-th text: its own if its run with no
     data aborted, else that run alone, which read no data."""
     return census._paths.get(census._texts[i]) or {
-        "": (census._status[i], census._steps[i], census._values[i], 0)
+        "": (census._status[i], census._steps[i], census._values[i])
     }
 
 
@@ -421,9 +421,9 @@ def _derived_tally(census: Census) -> tuple[Counter, Counter]:
     """(records per status, valid halts per program length) of the derived
     records, counted by run: the columns by text length and status in one
     pass, the read paths one by one.  A run decides its extensions of every
-    length in the window, but an abort only the record of its own length.
-    A valid halt read all of the path's data (see ``_value_index``), so it
-    is valid for the path itself, one record."""
+    length in the window, but an abort after a step only the record of its
+    own length.  A valid halt read all of the path's data (see
+    ``_value_index``), so it is valid for the path itself, one record."""
     statuses: Counter = Counter()
     valid: Counter = Counter()
     if census._window is None:
@@ -433,9 +433,9 @@ def _derived_tally(census: Census) -> tuple[Counter, Counter]:
     # The texts whose run with no data aborted are counted by their paths.
     heads.subtract((len(text), STATUS_ABORTED) for text in census._paths)
     shapes = Counter(
-        (len(text), len(data), status, read is None)
+        (len(text), len(data), status, status == STATUS_ABORTED and steps > 0)
         for text, paths in census._paths.items()
-        for data, (status, _, _, read) in paths.items()
+        for data, (status, steps, _) in paths.items()
     )
     shapes.update({(chars, 0, status, False): n for (chars, status), n in heads.items()})
     for (chars, n_data, status, aborted), n in shapes.items():
@@ -546,8 +546,7 @@ def advance(
         rewritten = rewritten or first <= len(record.bits) <= size_cap
         if record.status == STATUS_UNKNOWN:
             result = run_program(_checked_program(record.bits), budget)
-            fields = _path_of(result.outcome, budget)
-            record.status, record.steps, record.value_text, _ = fields
+            record.status, record.steps, record.value_text = _path_of(result.outcome, budget)
             if record.status == STATUS_HALTED_VALID and not result.valid_halt:
                 record.status = STATUS_HALTED_INVALID
     if first <= size_cap:
@@ -565,8 +564,8 @@ def advance(
         runs = map(_run_path, *args) if pool is None else pool.map(
             _run_path, *args, chunksize=max(1, len(pending) // (jobs * 8)))
         for i, fields in zip(pending, runs):
-            status[i], steps[i], values[i], read = fields
-            if read is None:
+            status[i], steps[i], values[i] = fields
+            if status[i] == STATUS_ABORTED and steps[i]:
                 census._paths[texts[i]] = {"": fields}
     census._paths = {
         text: _decide_head(
@@ -674,8 +673,8 @@ def _census_text(census: Census, read=None) -> Iterator[str]:
     """The census file a piece at a time: the header, each held record's
     line, then the derived records' lines, one piece per read-path block.
     At a head's own length the block is one line, the text's run with no
-    data.  ``read(data bits)`` gives the fields of a run the census has not
-    yet, which the walk first reaches at the path's own length."""
+    data.  ``read()`` gives the fields of a run the census has not yet,
+    which the walk first reaches at the path's own length."""
     yield (
         f"{_CENSUS_MAGIC}\nversion {census.version}\nconfig {census.config_digest}\n"
         f"max-bits {census.max_bits}\nstage {census.stage}\n"
@@ -697,9 +696,9 @@ def _census_text(census: Census, read=None) -> Iterator[str]:
             n = length - head_bits(len(text))
             if not n:  # one line, the run with no data: a valid halt read none
                 if status[i] is None:
-                    fields = read(0)
-                    status[i], steps[i], values[i], bits_read = fields
-                    if bits_read is None:
+                    fields = read()
+                    status[i], steps[i], values[i] = fields
+                    if status[i] == STATUS_ABORTED and steps[i]:
                         census._paths[text] = {"": fields}
                 value = values[i] if values[i] is not None else "-"
                 yield f"{prefix} {length} {status[i]} {steps[i]} {value}\n"
@@ -769,23 +768,22 @@ class _NotHeads(Exception):
     """The file is not one that save_census writes from per-text state."""
 
 
-def _path_fields(line: str, data_bits: int) -> PathFields:
-    """The fields of a read path from the line of its own bits: a valid
-    halt read all of the path's data, an abort with steps overran it, an
-    abort in 0 steps is malformed and read nothing, and an unknown run read
-    nothing.  Raises ``_NotHeads`` for a line that no read path gives its
-    own bits, and for a value that ``str.splitlines`` would split.  The
-    status is the module's constant, not the line's copy, so that a loaded
-    census, like a built one, holds one string per status."""
+def _path_fields(line: str) -> PathFields:
+    """The fields of a read path from the line of its own bits, which are
+    those of its own record.  Raises ``_NotHeads`` for a line that no read
+    path gives its own bits (a halt read all of the path, so it is never
+    invalid there), and for a value that ``str.splitlines`` would split.
+    The status is the module's constant, not the line's copy, so that a
+    loaded census, like a built one, holds one string per status."""
     parts = line.split(" ", 4)
     if len(parts) == 5 and parts[3].isdigit():
         status, steps = parts[2], int(parts[3])
         if status == STATUS_HALTED_VALID and parts[4].isprintable():
-            return STATUS_HALTED_VALID, steps, parts[4], data_bits
+            return STATUS_HALTED_VALID, steps, parts[4]
         if status == STATUS_ABORTED:
-            return STATUS_ABORTED, steps, None, None if steps else 0
+            return STATUS_ABORTED, steps, None
         if status == STATUS_UNKNOWN:
-            return STATUS_UNKNOWN, steps, None, 0
+            return STATUS_UNKNOWN, steps, None
     raise _NotHeads
 
 
@@ -824,12 +822,12 @@ def _load_heads(census: Census, fh, newlines: int) -> bool:
     fh.seek(0)
     line = None  # a path's own line, read ahead of its piece
 
-    def read(data_bits: int) -> PathFields:
+    def read() -> PathFields:
         nonlocal line
         line = fh.readline()
         if not line.endswith("\n"):
             raise _NotHeads
-        return _path_fields(line[:-1], data_bits)
+        return _path_fields(line[:-1])
 
     try:
         for piece in _census_text(census, read):

@@ -812,6 +812,7 @@ def _both(census, plan, jobs=1, reference=None):
     (20, [1, "read", 2, "read", 3], 1),
     (20, [1, ("stage", 2), 1, ("stage", -2), 2], 1),
     (24, [10], 1),
+    (22, [2, ("stage", 2), 1], 1),  # the pass skips 19 and 20 bits
 ])
 def test_enumerated_census_matches_per_record_reference(max_bits, plan, jobs, tmp_path):
     census, reference = _both(new_census(max_bits), plan, jobs)
@@ -978,7 +979,8 @@ def test_run_remaining_census_is_the_plain_census_one_step_later(monkeypatch):
     """Universality: ``(run-remaining)`` runs the rest of its tape as a
     program, so over 16 data bits (131,071 bit strings, every read path a
     run) its records are those of the plain 16-bit census, one step later,
-    each 128 bits further down."""
+    each 128 bits further down.  The census takes a halt on a read path to
+    have read all of it; the whole program's run must say so too."""
     plain = advance(new_census(16), 4)
     head = program_head("(run-remaining)")
     min_bits = _use_pool(monkeypatch, ("(run-remaining)",))
@@ -990,6 +992,8 @@ def test_run_remaining_census_is_the_plain_census_one_step_later(monkeypatch):
         assert (ran.status, ran.steps - 1, ran.value_text) == (
             record.status, record.steps, record.value_text
         )
+        if ran.status == STATUS_HALTED_VALID:
+            assert run_program(BinaryProgram(head + bits), ran.steps).valid_halt
     assert omega_lower_bound(embedded).fraction == (
         omega_lower_bound(plain).fraction / 2**min_bits
     )
@@ -1303,9 +1307,9 @@ def test_heads_file_reads_each_path_line_once(reading, tmp_path, monkeypatch, re
     read = []
     path_fields = dovetail._path_fields
 
-    def counted(line, data_bits):
+    def counted(line):
         read.append(line)
-        return path_fields(line, data_bits)
+        return path_fields(line)
 
     monkeypatch.setattr(dovetail, "_path_fields", counted)
     census = load_census(_saved(saved, tmp_path))
@@ -1346,9 +1350,9 @@ def _regions(path, monkeypatch):
     read = set()
     path_fields = dovetail._path_fields
 
-    def recorded(line, data_bits):
+    def recorded(line):
         read.add(line)
-        return path_fields(line, data_bits)
+        return path_fields(line)
 
     monkeypatch.setattr(dovetail, "_path_fields", recorded)
     assert load_census(path)._window is not None
@@ -1481,15 +1485,19 @@ def test_decide_from_paths_that_read(extra, reading_pool):
 
 def test_a_valid_halt_on_a_read_path_read_all_of_its_data(reading_pool, tmp_path):
     """Each read path but the empty one extends a path whose run aborted,
-    so a halt on it read all of its data, built or loaded: the value index
-    and the tally take each valid path for the one record of its bits."""
+    so a halt on it read all of its data, built or loaded: the blocks, the
+    value index and the tally take each valid path for the one record of
+    its bits, which the whole program's run reads to its end."""
     census = advance(new_census(reading_pool + 6), 9)
+    budget = 2**census.stage
     for loaded in (census, load_census(_saved(census, tmp_path))):
-        halts = [(data, fields[3]) for i in range(len(loaded._texts))
+        halts = [(program_head(text), data) for i, text in enumerate(loaded._texts)
                  for data, fields in dovetail._text_paths(loaded, i).items()
                  if fields[0] == STATUS_HALTED_VALID]
-        assert {len(data) for data, _ in halts} >= {0, 1, 2}
-        assert all(read == len(data) for data, read in halts)
+        assert {len(data) for _, data in halts} >= {0, 1, 2}
+        for head, data in halts:
+            outcome = run_program(BinaryProgram(head + data), budget).outcome
+            assert outcome.bits_consumed == len(data)
 
 
 def _assert_index_matches_records(census):
@@ -1545,7 +1553,8 @@ def test_reading_pool_keeps_the_read_paths_the_reference_runs(
 ):
     """Only a text whose run with no data aborted holds read paths, and
     they are the runs the per-record reference makes of its programs, built
-    or loaded; every other text holds its run with no data in the columns."""
+    or loaded, each a halt that read the whole path or a run that did not
+    halt; every other text holds its run with no data in the columns."""
     runs = {}
     reference_run = reference_dovetail.run_program
 
@@ -1560,10 +1569,13 @@ def test_reading_pool_keeps_the_read_paths_the_reference_runs(
     for text in census._texts:
         head = program_head(text)
         if runs[head][3] is None:
-            expected[text] = {
+            paths = {
                 bits[len(head):]: fields for bits, fields in runs.items()
                 if bits.startswith(head)
             }
+            assert all(fields[3] == len(data) for data, fields in paths.items()
+                       if fields[0] == STATUS_HALTED_VALID)
+            expected[text] = {data: fields[:3] for data, fields in paths.items()}
     assert expected and len(expected) < len(census._texts)
     for loaded in (census, load_census(_saved(census, tmp_path))):
         assert loaded._paths == expected
