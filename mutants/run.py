@@ -147,9 +147,16 @@ MUTANTS = (
     Mutant(
         "grow-keeps-unknown-paths",
         "dovetail.py",
-        "{p: f for p, f in paths.items() if f[0] != STATUS_UNKNOWN}",
-        "dict(paths)",
+        "if fields is None or fields[0] == STATUS_UNKNOWN:",
+        "if fields is None:",
         ("tests/test_dovetail.py", "-k", "enrolled_heads_that_read"),
+    ),
+    Mutant(
+        "grow-reruns-decided-paths",
+        "dovetail.py",
+        "if fields is None or fields[0] == STATUS_UNKNOWN:",
+        "if True:",
+        ("tests/test_dovetail.py", "-k", "reruns_only_the_unknown_paths"),
     ),
     Mutant(
         "loaded-abort-kept-in-columns",

@@ -326,30 +326,26 @@ def _path_of(out: Outcome, budget: int) -> PathFields:
     return STATUS_UNKNOWN, budget, None
 
 
-def _decide_head(
-    text: str, known: dict[str, PathFields], data_bits: int, budget: int
-) -> dict[str, PathFields]:
-    """Grow one enrolled text's tree of read paths; returns every path's
-    fields, keyed by the data bits it ran on.
+def _decide_head(text: str, paths: dict[str, PathFields], data_bits: int, budget: int) -> None:
+    """Grow one enrolled text's tree of read paths in place: ``paths`` maps
+    the data bits of each path run so far to its fields.
 
     A run on ``data[:j]`` that halts, runs out of time or is malformed read
     at most j data bits, so its outcome decides every extension of the path.
     An abort after a step may be a read past bit j, so the path grows by
-    one bit, both ways, while it holds fewer than ``data_bits`` bits.  The
-    paths in ``known`` were run already, at this budget or a smaller one,
-    and a halt or abort at step k is the same at any larger one, so only
-    the other paths run.
+    one bit, both ways, while it holds fewer than ``data_bits`` bits.  A
+    path runs when it has no fields yet, or reruns when it ran out of time
+    at an earlier, smaller budget; a halt or abort at step k is the same at
+    any larger one, so a decided path never runs again.
     """
-    paths = dict(known)
     todo = [""]
     while todo:
         path = todo.pop()
         fields = paths.get(path)
-        if fields is None:
+        if fields is None or fields[0] == STATUS_UNKNOWN:
             fields = paths[path] = _run_path(text, path, budget)
         if fields[0] == STATUS_ABORTED and fields[1] and len(path) < data_bits:
             todo += (path + "0", path + "1")
-    return paths
 
 
 def _blocks(
@@ -420,10 +416,11 @@ def _derived_count(census: Census) -> int:
 def _derived_tally(census: Census) -> tuple[Counter, Counter]:
     """(records per status, valid halts per program length) of the derived
     records, counted by run: the columns by text length and status in one
-    pass, the read paths one by one.  A run decides its extensions of every
-    length in the window, but an abort after a step only the record of its
-    own length.  A valid halt read all of the path's data (see
-    ``_value_index``), so it is valid for the path itself, one record."""
+    pass, the read paths one by one.  No run is longer than the window's
+    last length.  A run decides its extensions of every length in the
+    window, but an abort after a step only the record of its own length.
+    A valid halt read all of the path's data (see ``_value_index``), so it
+    is valid for the path itself, one record."""
     statuses: Counter = Counter()
     valid: Counter = Counter()
     if census._window is None:
@@ -441,12 +438,10 @@ def _derived_tally(census: Census) -> tuple[Counter, Counter]:
     for (chars, n_data, status, aborted), n in shapes.items():
         size = head_bits(chars) + n_data
         if aborted:
-            if first <= size <= last:
+            if first <= size:
                 statuses[STATUS_ABORTED] += n
             continue
         low = max(first, size)
-        if low > last:
-            continue
         count = n * ((2 << (last - size)) - (1 << (low - size)))
         if status == STATUS_HALTED_VALID:
             if low == size:
@@ -567,12 +562,8 @@ def advance(
             status[i], steps[i], values[i] = fields
             if status[i] == STATUS_ABORTED and steps[i]:
                 census._paths[texts[i]] = {"": fields}
-    census._paths = {
-        text: _decide_head(
-            text, {p: f for p, f in paths.items() if f[0] != STATUS_UNKNOWN},
-            last - head_bits(len(text)), budget)
-        for text, paths in census._paths.items()
-    }
+    for text, paths in census._paths.items():
+        _decide_head(text, paths, last - head_bits(len(text)), budget)
     census.stage = t
     if rewritten:
         _materialise(census)  # rewrites those records in place

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -50,6 +51,17 @@ def test_eval_error_outcome_exits_one(capsys):
     assert "abort-overrun" in out
 
 
+def test_eval_out_of_time_lists_what_it_emitted(capsys):
+    argv = ("eval", "--expr", "(define (f x) (f (display x))) (f a)", "--budget", "12")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.endswith("outcome: out-of-time\nemitted:\n  a\n  a\n")
+    assert run_cli(capsys, "--format", "json", *argv) == (1, (
+        '{"emitted": ["a", "a"], "machine": "omegalab-machine-1", '
+        '"outcome": "out-of-time"}\n'
+    ), "")
+
+
 def test_eval_tape_inline_and_from_file(capsys, tmp_path):
     code, report, _ = run_json(
         capsys, "eval", "--expr", "(read-bit)", "--tape", "1"
@@ -73,6 +85,29 @@ def test_parse_reports_reader_errors(capsys):
     code, out, err = run_cli(capsys, "parse", "--expr", "(a")
     assert (code, out) == (1, "")
     assert err.startswith("error UnbalancedParens: ")
+
+
+def test_parse_reads_a_file(capsys, tmp_path):
+    path = tmp_path / "x.sexpr"
+    path.write_text("(' (a b))")
+    code, out, _ = run_cli(capsys, "parse", "--file", str(path))
+    assert code == 0
+    assert out.endswith("expressions:\n  (' (a b))\n")
+
+
+def test_closed_stdout_ends_the_command_quietly(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def close(self):  # flushes into the closed pipe, as a real one does
+            super().close()
+            raise BrokenPipeError
+
+    stdout = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["parse", "--expr", "a"]) == 1
+    assert stdout.closed
 
 
 def test_encode_run_round_trip(capsys, tmp_path):
@@ -545,6 +580,14 @@ def test_eval_rejects_a_tape_that_is_not_bits(capsys):
     code, out, err = run_cli(capsys, "eval", "--expr", "a", "--tape", "2")
     assert (code, out) == (1, "")
     assert err == "error ValueError: tape bits must be a string over 0/1\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["run", "--bits", "012"], "program bits must be a string over 0/1"),
+    (["encode", "--expr", "a", "--data", "2"], "data must be a string over 0/1"),
+])
+def test_program_and_data_bits_that_are_not_bits_are_rejected(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (1, "", f"error ValueError: {err}\n")
 
 
 # The parent of the per-head census printed this for the 24/10 census.

@@ -37,6 +37,7 @@ from omegalab.evaluator import (
     AbortOverrun,
     Halted,
     MalformedProgram,
+    head_bits,
     program_head,
 )
 from omegalab.machine import (
@@ -99,6 +100,12 @@ def test_enumeration_splits_each_program_where_the_decoder_does():
 def test_census_requires_room_for_one_program():
     with pytest.raises(ValueError):
         new_census(MIN_PROGRAM_BITS - 1)
+
+
+def test_a_census_equals_no_other_type():
+    census = new_census(20)
+    assert census.__eq__(1) is NotImplemented
+    assert (census == 1) is False
 
 
 def test_first_stage_covers_17_bits_at_budget_two():
@@ -478,6 +485,20 @@ def test_load_rejects_a_non_ascii_byte_as_corrupt(tmp_path):
         with pytest.raises(UnicodeDecodeError) as decoded:
             data.decode("ascii")
         assert message == f"{path}: not ASCII: {decoded.value}"
+
+
+def test_load_rejects_a_byte_the_first_pass_did_not_see(tmp_path, monkeypatch):
+    """A file that turns non-ASCII after the binary pass, as if written to
+    between the two passes, is still corrupt, with the decoder's message."""
+    path = _saved(advance(new_census(20), 2), tmp_path)
+    data = path.read_bytes()[:-2] + b"\xc3\n"  # the last line's value
+    path.write_bytes(data)
+    monkeypatch.setattr(dovetail, "_ascii_newlines", lambda _: data.count(b"\n"))
+    with pytest.raises(CorruptFile) as raised:
+        load_census(path)
+    assert str(raised.value).startswith(
+        f"{path}: not ASCII: 'ascii' codec can't decode byte 0xc3"
+    )
 
 
 def test_load_rejects_duplicate_records(tmp_path):
@@ -973,6 +994,28 @@ def test_pool_runs_only_the_runs_with_no_data(reading_pool, monkeypatch, tmp_pat
     assert census == advance(new_census(reading_pool + 6), 9, jobs=1)
     reference = reference_dovetail.advance(new_census(reading_pool + 6), 9)
     _assert_matches_reference(census, reference, tmp_path)
+
+
+def test_a_later_pass_reruns_only_the_unknown_paths(reading_pool, monkeypatch):
+    """A pass runs a read path decided by an earlier pass never again and
+    one that ran out of time once, at the new budget."""
+    census = advance(new_census(reading_pool + 6), 2)
+    first = {(text, data): fields[0] for text, paths in census._paths.items()
+             for data, fields in paths.items()}
+    unknown = {key for key, status in first.items() if status == STATUS_UNKNOWN}
+    decided = first.keys() - unknown
+    assert unknown and {data for _, data in decided} > {""}
+    calls = Counter()
+    run_path = dovetail._run_path
+
+    def recorded(text, data, budget):
+        calls[text, data] += 1
+        return run_path(text, data, budget)
+
+    monkeypatch.setattr(dovetail, "_run_path", recorded)
+    advance(census, 2)
+    assert not decided & calls.keys()
+    assert {key: calls[key] for key in unknown} == dict.fromkeys(unknown, 1)
 
 
 def test_run_remaining_census_is_the_plain_census_one_step_later(monkeypatch):
@@ -1481,6 +1524,21 @@ def test_decide_from_paths_that_read(extra, reading_pool):
     assert (decision.halting, decision.not_halting_relative) == (
         _per_record_decision(reference, n_bits)
     )
+
+
+@pytest.mark.parametrize("pool, max_bits, stages", [(True, 6, 9), (False, 24, 10)])
+def test_every_run_fits_in_the_window(pool, max_bits, stages, request, tmp_path):
+    """A pool text fits the window's last length with no data, and a read
+    path grows only while its program is shorter, so ``_derived_tally``
+    counts every run without checking it against the window, built or
+    loaded."""
+    min_bits = request.getfixturevalue("reading_pool") if pool else 0
+    census = advance(new_census(min_bits + max_bits), stages)
+    for loaded in (census, load_census(_saved(census, tmp_path))):
+        sizes = {head_bits(len(text)) + len(data)
+                 for i, text in enumerate(loaded._texts)
+                 for data in dovetail._text_paths(loaded, i)}
+        assert max(sizes) <= loaded._window[1]
 
 
 def test_a_valid_halt_on_a_read_path_read_all_of_its_data(reading_pool, tmp_path):

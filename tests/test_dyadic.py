@@ -15,6 +15,13 @@ def test_zero_and_powers():
     assert DyadicRational.half_power(0).fraction == 1
 
 
+def test_converts_an_int_or_float():
+    assert str(DyadicRational(1)) == "1"
+    half = DyadicRational(0.5)
+    assert str(half) == "1/2^1"
+    assert half == DyadicRational(Fraction(1, 2))
+
+
 def test_rejects_non_dyadic_denominator():
     with pytest.raises(ValueError):
         DyadicRational(Fraction(1, 3))
@@ -88,6 +95,8 @@ def test_truncate_keeps_leading_bits():
     assert x.truncate(8) == x
     assert x.truncate(0) == DyadicRational.zero()
     assert x.truncate(12) == x
+    with pytest.raises(ValueError, match="^n_bits must be >= 0$"):
+        x.truncate(-1)
 
 
 def test_truncate_is_a_lower_bound():

@@ -267,8 +267,10 @@ NEST_TEXT = (
         ("a", "()", "false"),
         ("(lambda (x) x)", "(' (lambda (x) x))", "true"),
         ("(lambda (x) x)", "(lambda (y) x)", "false"),
+        ("(' (a))", "(' (a b))", "false"),
     ],
-    ids=["same-atom", "other-atom", "atom-vs-list", "closure-vs-source", "other-closure"],
+    ids=["same-atom", "other-atom", "atom-vs-list", "closure-vs-source", "other-closure",
+         "shorter-list"],
 )
 def test_equality_of_values_nested_past_the_host_stack(n, left, right, value):
     # two separately built lists nested n deep that differ at most at the

@@ -155,6 +155,8 @@ def test_outputs_stable_under_budget_increase():
 def test_digit_program_output_indexes_the_enumeration():
     # index 16 is the atom "3": it yields 3 at every position
     assert digit_program_output(16, 16, budget=256) == 3
+    with pytest.raises(ValueError, match="^digit program indices start at 1$"):
+        digit_program_output(0, 1, 8)
 
 
 def test_diagonal_rule():

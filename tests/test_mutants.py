@@ -37,3 +37,9 @@ def test_mutant_applies_once_and_selects_a_test_file(mutant):
     assert mutant.new != mutant.old
     first = mutant.tests[0]
     assert first.startswith("tests/") and (ROOT / first).is_file()
+
+
+def test_readme_table_names_every_mutant():
+    lines = (ROOT / "mutants" / "README.md").read_text().splitlines()
+    names = [line.split("`")[1] for line in lines if line.startswith("| `")]
+    assert sorted(names) == sorted(m.name for m in MUTANTS)
